@@ -52,7 +52,6 @@ from .perms import (
     root_of,
 )
 from .polynomials import (
-    LaurentPolynomial,
     QPoly,
     compare_coefficientwise,
     format_qpoly,

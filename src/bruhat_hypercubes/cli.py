@@ -9,18 +9,12 @@ was found, 1 on usage or internal errors.  Reports are emitted as one JSON
 object per line with sorted keys (--json) or as human-readable text, in
 (length(v), v, u) order regardless of scheduling; counterexamples are also
 echoed to stderr.
-
-An on-disk cache of R-tilde coefficient arrays (one JSON object per line,
-content-addressed by (n, u, v)) can be supplied with --cache PATH or the
-BRUHAT_CACHE environment variable; the environment variable wins.  The
-cache is an optimization only: reports are identical with and without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from functools import lru_cache
@@ -44,9 +38,7 @@ from .polynomials import (
     format_qpoly,
     kl_poly,
     r_poly,
-    rtilde_cache_items,
     rtilde_from_r,
-    seed_rtilde_cache,
 )
 
 
@@ -60,61 +52,6 @@ def comparable_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
             if length(u) <= length(v) and bruhat_leq(u, v):
                 out.append((u, v))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# cache
-
-
-def _cache_path(arg: Optional[str]) -> Optional[str]:
-    return os.environ.get("BRUHAT_CACHE") or arg
-
-
-def load_cache(path: Optional[str]) -> set[tuple[Perm, Perm]]:
-    """Seed the R-tilde memo from a JSONL cache file; returns the keys seen."""
-    keys: set[tuple[Perm, Perm]] = set()
-    if not path or not os.path.exists(path):
-        return keys
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                u = parse_perm(obj["u"])
-                v = parse_perm(obj["v"])
-                entry = (u, v, [int(c) for c in obj["rt"]])
-            except (ValueError, KeyError, TypeError):
-                continue  # torn line from a concurrent append: recompute instead
-            entries.append(entry)
-            keys.add((u, v))
-    seed_rtilde_cache(entries)
-    return keys
-
-
-def save_cache(path: Optional[str], known: set[tuple[Perm, Perm]]) -> None:
-    """Append entries computed since the cache was loaded."""
-    if not path:
-        return
-    fresh = [(u, v, p) for u, v, p in rtilde_cache_items() if (u, v) not in known]
-    if not fresh:
-        return
-    with open(path, "a", encoding="utf-8") as fh:
-        for u, v, poly in sorted(fresh):
-            fh.write(
-                json.dumps(
-                    {
-                        "n": len(u),
-                        "u": format_perm(u),
-                        "v": format_perm(v),
-                        "rt": list(poly),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +147,7 @@ def cmd_kl(args) -> int:
     if not bruhat_leq(u, v):
         print(f"error: {args.u} and {args.v} are not comparable", file=sys.stderr)
         return 1
-    known = load_cache(_cache_path(args.cache))
     p, r, rt = kl_poly(u, v), r_poly(u, v), rtilde_from_r(u, v)
-    save_cache(_cache_path(args.cache), known)
     _emit(
         {"u": args.u, "v": args.v, "P": list(p), "R": list(r), "R_tilde": list(rt)},
         args.json,
@@ -230,9 +165,7 @@ def cmd_rtilde(args) -> int:
     if not bruhat_leq(u, v):
         print(f"error: {args.u} and {args.v} are not comparable", file=sys.stderr)
         return 1
-    known = load_cache(_cache_path(args.cache))
     rt = rtilde_from_r(u, v)
-    save_cache(_cache_path(args.cache), known)
     _emit(
         {"u": args.u, "v": args.v, "R_tilde": list(rt)},
         args.json,
@@ -306,7 +239,6 @@ def cmd_iso(args) -> int:
 
 def cmd_hcd(args) -> int:
     u, v = _parse_pair(args.u, args.v)
-    known = load_cache(_cache_path(args.cache))
     iv = build_interval(u, v)
     rt = rtilde_from_r(u, v)
     if args.z is None:
@@ -378,7 +310,6 @@ def cmd_hcd(args) -> int:
         else:
             lines.append(f"failed {check.failed_axiom}: {check.reason}")
     _emit(payload, args.json, lines)
-    save_cache(_cache_path(args.cache), known)
     return 0
 
 
@@ -401,13 +332,20 @@ def cmd_verify(args) -> int:
         print(f"error: verify expects 2 <= n <= 7, got {n}", file=sys.stderr)
         return 1
     shard_k, shard_m = _parse_shard(args.shard)
-    known = load_cache(_cache_path(args.cache))
+    if args.iso_classes and shard_m > 1:
+        # a shard would group only its own intervals, splitting classes
+        raise ValueError("--iso-classes cannot be combined with --shard K/M, M > 1")
     start = time.monotonic()
 
-    pairs = comparable_pairs(n)
     if args.interval:
-        wanted = _parse_pair(args.interval[0], args.interval[1])
-        pairs = tuple(p for p in pairs if p == wanted)
+        u, v = _parse_pair(*args.interval)
+        if len(u) != n:
+            raise ValueError(
+                f"--interval expects a pair of S_{n}, got {' '.join(args.interval)}"
+            )
+        pairs = ((u, v),) if bruhat_leq(u, v) else ()
+    else:
+        pairs = comparable_pairs(n)
     pairs = tuple(p for idx, p in enumerate(pairs) if idx % shard_m == shard_k - 1)
 
     failures = 0
@@ -493,7 +431,6 @@ def cmd_verify(args) -> int:
             f"verified {s['intervals']} intervals of S_{n}:"
             f" {s['counterexamples']} counterexamples in {s['seconds']}s"
         )
-    save_cache(_cache_path(args.cache), known)
     return 2 if failures else 0
 
 
@@ -512,12 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kl", help="print P, R and R-tilde for u <= v")
     add_pair(sp)
-    sp.add_argument("--cache")
     sp.set_defaults(func=cmd_kl)
 
     sp = sub.add_parser("rtilde", help="print R-tilde for u <= v")
     add_pair(sp)
-    sp.add_argument("--cache")
     sp.set_defaults(func=cmd_rtilde)
 
     sp = sub.add_parser("simple", help="test linear independence of atom roots")
@@ -544,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("v")
     sp.add_argument("z", nargs="?")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cache")
     sp.set_defaults(func=cmd_hcd)
 
     sp = sub.add_parser("verify", help="batch verification over all of S_n")
@@ -554,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shard", help="K/M: process the K-th of M slices")
     sp.add_argument("--interval", nargs=2, metavar=("U", "V"))
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cache")
     sp.set_defaults(func=cmd_verify)
 
     return parser

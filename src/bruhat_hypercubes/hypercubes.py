@@ -23,18 +23,16 @@ ideals as early as possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ClusterError, DiamondFlipError, InvariantViolation
 from .intervals import BruhatInterval, atom_indices, build_interval
 from .perms import (
     Perm,
-    Reflection,
     format_perm,
     inverse,
     right_cycle,
-    root_of,
+    root_forest,
 )
 from .polynomials import QPoly, ZERO, qp_add, qp_shift, rtilde_from_r
 
@@ -492,21 +490,8 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
 
 def is_simple(iv: BruhatInterval) -> bool:
     """True iff the roots of the atom reflections are linearly independent,
-    by exact rational rank computation."""
-    roots = [root_of(t, iv.n) for _, t in atom_indices(iv)]
-    rows = [list(map(Fraction, r)) for r in roots]
-    rank = 0
-    for c in range(iv.n):
-        pivot = next((k for k in range(rank, len(rows)) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for k in range(len(rows)):
-            if k != rank and rows[k][c] != 0:
-                factor = rows[k][c] / rows[rank][c]
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[rank])]
-        rank += 1
-    return rank == len(roots)
+    that is, iff the atom edges {i, j} form a forest on {1..n}."""
+    return root_forest(iv.n, (t for _, t in atom_indices(iv))) is not None
 
 
 def coset_ideal_form(
@@ -531,23 +516,10 @@ def coset_ideal_form(
     if not is_diamond_closed(iv, members):
         raise ValueError("ideal is not diamond-closed")
 
-    parent = list(range(iv.n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j, t in atom_indices(iv):
-        if mask >> j & 1:
-            ra, rb = find(t[0]), find(t[1])
-            if ra != rb:
-                parent[ra] = rb
-
+    comp = root_forest(iv.n, (t for j, t in atom_indices(iv) if mask >> j & 1))
     blocks: dict[int, list[int]] = {}
     for a in range(1, iv.n + 1):
-        blocks.setdefault(find(a), []).append(a)
+        blocks.setdefault(comp[a], []).append(a)
     partition = tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
 
     block_of = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .errors import EmptyIntervalError
+from .errors import EmptyIntervalError, InvariantViolation
 from .perms import (
     Perm,
     Reflection,
@@ -290,7 +290,8 @@ def poset_isomorphic(p: AbstractPoset, q: AbstractPoset) -> Optional[tuple[int, 
         return None
     result = tuple(mapping)
     # verify: bijection carrying the Hasse relation exactly
-    assert sorted(result) == list(range(p.size))
+    if sorted(result) != list(range(p.size)):
+        raise InvariantViolation("isomorphism search returned a non-bijection")
     mapped = {(result[a], result[b]) for a, b in p.hasse}
     if mapped != set(q.hasse):
         return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 Reflection = tuple[int, int]
@@ -122,14 +122,6 @@ def reflection_perm(t: Reflection, n: int) -> Perm:
     return tuple(w)
 
 
-def reflection_of(p: Perm) -> Reflection:
-    """Recover (i, j) from a permutation that is a transposition."""
-    moved = [k for k in range(1, len(p) + 1) if p[k - 1] != k]
-    if len(moved) != 2 or p[moved[0] - 1] != moved[1] or p[moved[1] - 1] != moved[0]:
-        raise ValueError(f"{p} is not a transposition")
-    return (moved[0], moved[1])
-
-
 def apply_reflection(t: Reflection, w: Perm) -> Perm:
     """Left multiplication t*w: swap the values i and j in w."""
     i, j = t
@@ -163,6 +155,29 @@ def root_of(t: Reflection, n: int) -> Root:
     vec = [0] * n
     vec[i - 1], vec[j - 1] = 1, -1
     return tuple(vec)
+
+
+def root_forest(n: int, ts: Iterable[Reflection]) -> Optional[list[int]]:
+    """Union-find over {1..n}, joining i and j for every reflection (i, j).
+
+    The roots e_i - e_j of ts are linearly independent exactly when these
+    edges form a forest.  Returns None when some edge closes a cycle, else
+    the component representative of each point k at index k (index 0 unused).
+    """
+    parent = list(range(n + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in ts:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            return None
+        parent[ri] = rj
+    return [find(a) for a in range(n + 1)]
 
 
 def reflection_length_delta(t: Reflection, w: Perm) -> int:

@@ -13,9 +13,7 @@ and results are deterministic either way.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation
 from .intervals import interval_elements
@@ -46,13 +44,6 @@ def qp_add(a: QPoly, b: QPoly) -> QPoly:
     out = list(a)
     for k, c in enumerate(b):
         out[k] += c
-    return qp_normalize(out)
-
-
-def qp_sub(a: QPoly, b: QPoly) -> QPoly:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for k, c in enumerate(b):
-        out[k] -= c
     return qp_normalize(out)
 
 
@@ -129,91 +120,6 @@ def compare_coefficientwise(a: QPoly, b: QPoly) -> str:
     if ge:
         return GREATER_EQUAL
     return INCOMPARABLE
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in t (for the q = t^2 substitution)
-
-
-@dataclass(frozen=True)
-class LaurentPolynomial:
-    """Integer Laurent polynomial: coeffs[k] is the coefficient of t^(low+k).
-
-    The first and last stored coefficients are nonzero unless the whole
-    polynomial is zero (low == 0, coeffs == ()).
-    """
-
-    low: int
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def from_terms(terms: dict[int, int]) -> "LaurentPolynomial":
-        live = {e: c for e, c in terms.items() if c}
-        if not live:
-            return LaurentPolynomial(0, ())
-        lo = min(live)
-        hi = max(live)
-        return LaurentPolynomial(lo, tuple(live.get(e, 0) for e in range(lo, hi + 1)))
-
-    def terms(self) -> dict[int, int]:
-        return {self.low + k: c for k, c in enumerate(self.coeffs) if c}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def high(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no top exponent")
-        return self.low + len(self.coeffs) - 1
-
-    def coeff(self, exponent: int) -> int:
-        k = exponent - self.low
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        terms = self.terms()
-        for e, c in other.terms().items():
-            terms[e] = terms.get(e, 0) + c
-        return LaurentPolynomial.from_terms(terms)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "LaurentPolynomial":
-        if c == 0 or self.is_zero:
-            return LaurentPolynomial(0, ())
-        return LaurentPolynomial(self.low, tuple(c * x for x in self.coeffs))
-
-    def shift(self, k: int) -> "LaurentPolynomial":
-        """Multiply by t^k."""
-        if self.is_zero:
-            return self
-        return LaurentPolynomial(self.low + k, self.coeffs)
-
-
-def laurent_q_squared(a: QPoly) -> LaurentPolynomial:
-    """a(t^2) as a Laurent polynomial in t."""
-    return LaurentPolynomial.from_terms({2 * k: c for k, c in enumerate(a)})
-
-
-def t_minus_tinv_power(k: int) -> LaurentPolynomial:
-    """(t - 1/t)^k expanded by the binomial theorem."""
-    return LaurentPolynomial.from_terms(
-        {k - 2 * m: (-1) ** m * math.comb(k, m) for m in range(k + 1)}
-    )
-
-
-def laurent_substitute(a: QPoly, ell: int) -> LaurentPolynomial:
-    """t^ell * a(t - 1/t), the forward direction of the R <-> R-tilde bridge."""
-    acc = LaurentPolynomial(0, ())
-    for k, c in enumerate(a):
-        if c:
-            acc = acc + t_minus_tinv_power(k).scale(c).shift(ell)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -301,41 +207,36 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
 
 
 def rtilde_from_r(u: Perm, v: Perm) -> QPoly:
-    """The unique R-tilde with t^l R-tilde(t - 1/t) = R(t^2), solved from the
-    top coefficient downward; requires u <= v."""
+    """The R-tilde polynomial, by its own descent recurrence (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Sec. 5.3); requires u <= v.
+
+    R-tilde(u, u) = 1; R-tilde(u, v) = 0 when u is not <= v; otherwise, for
+    the smallest right descent s of v (the one r_poly uses): R-tilde(us, vs)
+    when s is also a descent of u, else R-tilde(us, vs) + q R-tilde(u, vs).
+    R-tilde(u, v) is nonzero exactly when u <= v.  It satisfies
+    t^l R-tilde(t - 1/t) = R(t^2) without being derived from R.
+    """
+    res = _rtilde(u, v)
+    if not res:
+        raise ValueError("R-tilde requires u <= v")
+    return res
+
+
+def _rtilde(u: Perm, v: Perm) -> QPoly:
     key = (u, v)
     hit = _RT_MEMO.get(key)
     if hit is not None:
         return hit
-    if not bruhat_leq(u, v):
-        raise ValueError("R-tilde requires u <= v")
-    ell = length(v) - length(u)
-    residue = laurent_q_squared(r_poly(u, v))
-    out: dict[int, int] = {}
-    while not residue.is_zero:
-        k = residue.high - ell
-        if k < 0 or k > ell or k in out:
-            raise InvariantViolation(
-                f"R-tilde substitution did not resolve at ({u}, {v})"
-            )
-        c = residue.coeff(residue.high)
-        out[k] = c
-        residue = residue - t_minus_tinv_power(k).scale(c).shift(ell)
-    coeffs = [0] * (max(out) + 1 if out else 0)
-    for k, c in out.items():
-        coeffs[k] = c
-    res = qp_normalize(coeffs)
-    if any(c < 0 for c in res):
-        raise InvariantViolation(f"negative R-tilde coefficient at ({u}, {v})")
+    if u == v:
+        res = ONE
+    elif not bruhat_leq(u, v):
+        res = ZERO
+    else:
+        i, j = min(descents(v))
+        vs = right_transposition(v, i, j)
+        us = right_transposition(u, i, j)
+        res = _rtilde(us, vs)
+        if u[i - 1] < u[j - 1]:
+            res = qp_add(res, qp_shift(_rtilde(u, vs), 1))
     _RT_MEMO[key] = res
     return res
-
-
-def rtilde_cache_items() -> list[tuple[Perm, Perm, QPoly]]:
-    """Snapshot of the R-tilde memo, for the harness's on-disk cache."""
-    return [(u, v, p) for (u, v), p in _RT_MEMO.items()]
-
-
-def seed_rtilde_cache(items: Iterable[tuple[Perm, Perm, Sequence[int]]]) -> None:
-    for u, v, coeffs in items:
-        _RT_MEMO[(tuple(u), tuple(v))] = qp_normalize(tuple(coeffs))

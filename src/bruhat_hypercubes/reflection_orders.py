@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
 from .intervals import BruhatInterval
-from .perms import Reflection, reflections, root_of
+from .perms import Reflection, reflections, root_forest
 from .polynomials import ONE, QPoly, ZERO, qp_add, qp_shift
 
 
@@ -85,66 +85,27 @@ def reverse_order(order: ReflectionOrder) -> ReflectionOrder:
 # construction from prescribed roots
 
 
-def _root_coordinates(n: int, basis: Sequence[Reflection]):
-    """Coordinates of every root of S_n in the given independent root basis.
-
-    Returns None when some root falls outside the span (the caller extends
-    the basis until that cannot happen).
-    """
-    cols = [root_of(t, n) for t in basis]
-    coords: dict[Reflection, tuple[Fraction, ...]] = {}
-    for t in reflections(n):
-        solution = _solve_in_span(cols, root_of(t, n))
-        if solution is None:
-            return None
-        coords[t] = solution
-    return coords
-
-
-def _solve_in_span(cols, target):
-    """Exact rational solve of sum_j x_j cols[j] = target, or None."""
-    m = len(cols)
-    n = len(target)
-    rows = [[Fraction(cols[j][i]) for j in range(m)] + [Fraction(target[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pivot = next((k for k in range(r, n) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(n):
-            if k != r and rows[k][c] != 0:
-                factor = rows[k][c]
-                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-    out = [Fraction(0)] * m
-    for row in rows[r:]:
-        if row[-1] != 0:
-            return None
-    for rowidx, c in enumerate(pivots):
-        out[c] = rows[rowidx][-1]
-    return tuple(out)
-
-
-def _roots_independent(n: int, ts: Sequence[Reflection]) -> bool:
-    cols = [root_of(t, n) for t in ts]
-    rank = 0
-    rows = [list(map(Fraction, col)) for col in cols]
-    for c in range(n):
-        pivot = next((k for k in range(rank, len(rows)) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for k in range(len(rows)):
-            if k != rank and rows[k][c] != 0:
-                factor = rows[k][c] / rows[rank][c]
-                rows[k] = [x - factor * y for x, y in zip(rows[k], rows[rank])]
-        rank += 1
-    return rank == len(ts)
+def _tree_coordinates(n: int, basis: Sequence[Reflection]):
+    """Coordinates of every root of S_n in a root basis whose edges form a
+    spanning tree of {1..n}.  The signed sum p(x) of the basis roots along
+    the tree path from 1 to x is e_1 - e_x, so e_a - e_b is p(b) - p(a)."""
+    steps: dict[int, list[tuple[int, int, int]]] = {a: [] for a in range(1, n + 1)}
+    for j, (a, b) in enumerate(basis):
+        steps[a].append((b, j, 1))  # stepping a -> b adds e_a - e_b
+        steps[b].append((a, j, -1))
+    path = {1: [0] * len(basis)}
+    stack = [1]
+    while stack:
+        x = stack.pop()
+        for y, j, sign in steps[x]:
+            if y not in path:
+                path[y] = list(path[x])
+                path[y][j] += sign
+                stack.append(y)
+    return {
+        (a, b): tuple(cb - ca for ca, cb in zip(path[a], path[b]))
+        for a, b in reflections(n)
+    }
 
 
 def _f2(t: Reflection) -> Fraction:
@@ -167,17 +128,16 @@ def construct_order(n: int, ts: Sequence[Reflection], i: int) -> ReflectionOrder
     k = len(ts)
     if not 1 <= i <= k:
         raise ValueError(f"i = {i} out of range 1..{k}")
-    if len(set(ts)) != k or not _roots_independent(n, ts):
+    if root_forest(n, ts) is None:
         raise ValueError("prescribed roots must be distinct and linearly independent")
 
+    # extend to a spanning tree by the simple reflections that join components
     basis = list(ts)
     for a in range(1, n):
-        cand = (a, a + 1)
-        if _roots_independent(n, basis + [cand]):
-            basis.append(cand)
-    coords = _root_coordinates(n, basis)
-    if coords is None:
-        raise InvariantViolation("extended root basis failed to span")
+        comp = root_forest(n, basis)
+        if comp[a] != comp[a + 1]:
+            basis.append((a, a + 1))
+    coords = _tree_coordinates(n, basis)
     m = len(basis)
 
     def in_span_i(t: Reflection) -> bool:
@@ -325,7 +285,8 @@ def check_E_properties(
         if out_in:
             internal_max = max(internal_max, max(out_in))
     e = internal_max < leaving_min
-    assert not e or (e1 and e2), "E must imply E1 and E2"
+    if e and not (e1 and e2):
+        raise InvariantViolation("E must imply E1 and E2")
     return EFlags(e1=e1, e2=e2, e=e)
 
 

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from bruhat_hypercubes import cli
-from bruhat_hypercubes.polynomials import clear_caches
 
 
 def run(capsys, *argv):
@@ -137,6 +136,12 @@ def test_verify_interval_filter(capsys):
     assert report["counts"]["strict"] >= 1
 
 
+def test_verify_interval_rejects_a_wrong_degree_pair(capsys):
+    code, out, err = run(capsys, "verify", "4", "--interval", "132", "321")
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
 def test_verify_iso_classes(capsys):
     code, out, _ = run(capsys, "verify", "3", "--iso-classes", "--json")
     assert code == 0
@@ -175,46 +180,19 @@ def test_verify_shards_partition_the_work(capsys):
     assert code == 1
 
 
+def test_verify_refuses_sharded_iso_classes(capsys):
+    # each shard would group only its own intervals: S_3 has 4 classes,
+    # but two shards would report 3 + 3
+    code, out, err = run(capsys, "verify", "3", "--iso-classes", "--shard", "1/2")
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+    code, _, _ = run(capsys, "verify", "3", "--iso-classes", "--shard", "1/1")
+    assert code == 0
+
+
 def test_verify_rejects_bad_n(capsys):
     code, _, err = run(capsys, "verify", "9")
     assert code == 1
-
-
-def test_cache_reuse_and_identical_reports(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("BRUHAT_CACHE", raising=False)
-    cache = tmp_path / "rt.jsonl"
-
-    def report_items(out):
-        return [
-            json.loads(line)
-            for line in out.strip().splitlines()
-            if "summary" not in json.loads(line)
-        ]
-
-    clear_caches()
-    _, cold, _ = run(capsys, "verify", "3", "--exhaustive-z", "--json", "--cache", str(cache))
-    assert cache.exists()
-    size_after_first = cache.stat().st_size
-    entries = [json.loads(line) for line in cache.read_text().splitlines()]
-    assert all(set(e) == {"n", "u", "v", "rt"} for e in entries)
-
-    clear_caches()
-    _, warm, _ = run(capsys, "verify", "3", "--exhaustive-z", "--json", "--cache", str(cache))
-    assert cache.stat().st_size == size_after_first  # nothing new to append
-    assert report_items(cold) == report_items(warm)
-
-    clear_caches()
-    _, nocache, _ = run(capsys, "verify", "3", "--exhaustive-z", "--json")
-    assert report_items(nocache) == report_items(cold)
-
-
-def test_cache_env_overrides_flag(tmp_path, capsys, monkeypatch):
-    clear_caches()
-    env_cache = tmp_path / "env.jsonl"
-    flag_cache = tmp_path / "flag.jsonl"
-    monkeypatch.setenv("BRUHAT_CACHE", str(env_cache))
-    run(capsys, "rtilde", "123", "321", "--cache", str(flag_cache))
-    assert env_cache.exists() and not flag_cache.exists()
 
 
 def test_counterexample_exit_code(capsys, monkeypatch):
@@ -230,12 +208,3 @@ def test_counterexample_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "2", "--json")
     assert code == 2
     assert "COUNTEREXAMPLE" in err
-
-
-def test_cache_tolerates_torn_lines(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("BRUHAT_CACHE", raising=False)
-    clear_caches()
-    cache = tmp_path / "rt.jsonl"
-    cache.write_text('{"n": 3, "u": "123", "v": "321", "rt": [0, 1, 0, 1]}\n{"n": 3, "u": "12\n')
-    code, out, _ = run(capsys, "rtilde", "123", "321", "--json", "--cache", str(cache))
-    assert code == 0 and json.loads(out)["R_tilde"] == [0, 1, 0, 1]

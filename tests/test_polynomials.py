@@ -1,13 +1,21 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhat_hypercubes.errors import InvariantViolation
+from bruhat_hypercubes.intervals import build_interval
 from bruhat_hypercubes.perms import (
     all_perms,
+    apply_reflection,
     bruhat_leq,
     descents,
     identity,
     length,
     longest_element,
+    reflection_length_delta,
+    reflections,
     right_transposition,
 )
 from bruhat_hypercubes.polynomials import (
@@ -15,12 +23,9 @@ from bruhat_hypercubes.polynomials import (
     GREATER_EQUAL,
     INCOMPARABLE,
     LESS_EQUAL,
-    LaurentPolynomial,
     compare_coefficientwise,
     format_qpoly,
     kl_poly,
-    laurent_q_squared,
-    laurent_substitute,
     qp_add,
     qp_deg,
     qp_eval,
@@ -31,8 +36,15 @@ from bruhat_hypercubes.polynomials import (
     r_poly,
     rtilde_from_r,
 )
+from bruhat_hypercubes.reflection_orders import rtilde_by_paths
 
-from helpers import comparable_pairs, oracle_kl, oracle_r
+from helpers import (
+    comparable_pairs,
+    oracle_kl,
+    oracle_r,
+    r_from_rtilde,
+    random_functional_order,
+)
 
 
 def test_qp_basics():
@@ -57,15 +69,6 @@ def test_compare_coefficientwise():
     assert compare_coefficientwise((0, 2, 1), (0, 1, 1)) == GREATER_EQUAL
     assert compare_coefficientwise((0, 1, 1), (0, 2, 1)) == LESS_EQUAL
     assert compare_coefficientwise((0, 0, 1), (0, 1)) == INCOMPARABLE
-
-
-def test_laurent_polynomial_normal_form():
-    lp = LaurentPolynomial.from_terms({-2: 1, 0: 0, 3: -4})
-    assert lp.low == -2 and lp.coeffs == (1, 0, 0, 0, 0, -4)
-    assert lp.coeff(3) == -4 and lp.coeff(1) == 0
-    assert (lp - lp).is_zero
-    assert lp.shift(2).low == 0
-    assert lp.scale(0).is_zero
 
 
 def test_r_poly_base_cases():
@@ -195,8 +198,36 @@ def test_rtilde_shape_s4():
 
 
 def test_substitution_identity_both_ways_s4():
-    # t^ell * rtilde(t - 1/t) must reproduce R(t^2) exactly
-    for u, v in comparable_pairs(4):
-        ell = length(v) - length(u)
-        lhs = laurent_substitute(rtilde_from_r(u, v), ell)
-        assert lhs == laurent_q_squared(r_poly(u, v)), (u, v)
+    # t^ell * rtilde(t - 1/t) must reproduce R(t^2) exactly, R-tilde and R
+    # each coming from its own recurrence; S_5 has 3,781 comparable pairs
+    for n in (4, 5):
+        for u, v in comparable_pairs(n):
+            ell = length(v) - length(u)
+            assert r_from_rtilde(rtilde_from_r(u, v), ell) == r_poly(u, v), (u, v)
+
+
+def _comparable_pair(data, max_length):
+    """A comparable pair u <= v of S_6 or S_7 with l(v) - l(u) <= max_length,
+    reached from a random v by a random walk down Bruhat covers."""
+    n = data.draw(st.sampled_from((6, 7)))
+    v = tuple(data.draw(st.permutations(range(1, n + 1))))
+    u = v
+    for _ in range(data.draw(st.integers(0, max_length))):
+        covers = [
+            t for t in reflections(n) if reflection_length_delta(t, u) == -1
+        ]
+        if not covers:
+            break
+        u = apply_reflection(data.draw(st.sampled_from(covers)), u)
+    return u, v
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_rtilde_against_r_and_paths_s6_s7(data):
+    u, v = _comparable_pair(data, 8)
+    rt = rtilde_from_r(u, v)
+    assert r_from_rtilde(rt, length(v) - length(u)) == r_poly(u, v)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    order = random_functional_order(len(u), rng)
+    assert rtilde_by_paths(build_interval(u, v), order) == rt
