@@ -29,7 +29,7 @@ from .hypercubes import (
     special_matchings,
     standard_hcd,
 )
-from .intervals import build_interval, iso_signature, poset_isomorphic
+from .intervals import BruhatInterval, build_interval, iso_signature, poset_isomorphic
 from .perms import Perm, all_perms, bruhat_leq, format_perm, length, parse_perm
 from .polynomials import (
     EQUAL,
@@ -58,8 +58,8 @@ def comparable_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
 # per-interval analysis
 
 
-def analyze_interval(u: Perm, v: Perm, exhaustive_z: bool) -> dict:
-    iv = build_interval(u, v)
+def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
+    u, v = iv.bottom, iv.top
     rt = rtilde_from_r(u, v)
     report: dict = {
         "u": format_perm(u),
@@ -347,11 +347,14 @@ def cmd_verify(args) -> int:
     else:
         pairs = comparable_pairs(n)
     pairs = tuple(p for idx, p in enumerate(pairs) if idx % shard_m == shard_k - 1)
+    if not pairs and not args.interval:
+        raise ValueError(f"--shard {args.shard} selects no interval of S_{n}")
 
     failures = 0
     iso_groups: dict = {}
     for u, v in pairs:
-        report = analyze_interval(u, v, args.exhaustive_z)
+        iv = build_interval(u, v)
+        report = analyze_interval(iv, args.exhaustive_z)
         failures += len(report["counterexamples"])
         for message in report["counterexamples"]:
             print(f"COUNTEREXAMPLE: {message}", file=sys.stderr)
@@ -374,7 +377,6 @@ def cmd_verify(args) -> int:
                 line += " COUNTEREXAMPLE"
             print(line)
         if args.iso_classes:
-            iv = build_interval(u, v)
             key = iso_signature(iv.poset)
             iso_groups.setdefault(key, []).append((u, v, iv.poset, kl_poly(u, v)))
 
@@ -495,7 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a usage error is 1, as documented, not argparse's 2
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, EmptyIntervalError) as err:

@@ -23,10 +23,12 @@ ideals as early as possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ClusterError, DiamondFlipError, InvariantViolation
-from .intervals import BruhatInterval, atom_indices, build_interval
+# build_interval is not called here: perfbench/tracing.py wraps this name
+from .intervals import BruhatInterval, atom_indices, bits, build_interval
 from .perms import (
     Perm,
     format_perm,
@@ -44,13 +46,6 @@ class Diamond(NamedTuple):
     x4: int
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def enumerate_diamonds(iv: BruhatInterval) -> list[Diamond]:
     """All diamonds of the Bruhat graph, each once, with x2 < x3 by index."""
     out = []
@@ -61,7 +56,7 @@ def enumerate_diamonds(iv: BruhatInterval) -> list[Diamond]:
             x2 = targets[a_idx]
             for b_idx in range(a_idx + 1, len(targets)):
                 x3 = targets[b_idx]
-                for x4 in _bits(iv.out_mask[x2] & iv.out_mask[x3]):
+                for x4 in bits(iv.out_mask[x2] & iv.out_mask[x3]):
                     out.append(Diamond(x1, x2, x3, x4))
     return out
 
@@ -78,7 +73,7 @@ def diamond_flip(iv: BruhatInterval, x1: int, x2: int, x4: int) -> tuple[int, in
         raise ValueError("x1 -> x2 -> x4 is not an edge pair of the interval")
     candidates = [
         x3
-        for x3 in _bits(iv.out_mask[x1])
+        for x3 in bits(iv.out_mask[x1])
         if x3 != x2 and iv.out_mask[x3] >> x4 & 1
     ]
     if not candidates:
@@ -107,7 +102,7 @@ def diamond_closure(iv: BruhatInterval, seed: Iterable[int]) -> frozenset[int]:
             if present == 3:
                 mask |= (1 << x1) | (1 << x2) | (1 << x3) | (1 << x4)
                 changed = True
-    return frozenset(_bits(mask))
+    return frozenset(bits(mask))
 
 
 def is_diamond_closed(iv: BruhatInterval, subset: Iterable[int]) -> bool:
@@ -173,7 +168,7 @@ def build_cluster(iv: BruhatInterval, ideal: Iterable[int], x: int) -> Hypercube
         ideal_mask |= 1 << e
     if not ideal_mask >> x & 1:
         raise ValueError("x must belong to the ideal")
-    for e in _bits(ideal_mask):
+    for e in bits(ideal_mask):
         if iv.down_mask[e] & ~ideal_mask:
             raise ValueError("ideal is not a lower set of the interval")
 
@@ -197,7 +192,7 @@ def build_cluster(iv: BruhatInterval, ideal: Iterable[int], x: int) -> Hypercube
         k = bin(ymask).count("1")
         if k < 2:
             continue
-        members = list(_bits(ymask))
+        members = list(bits(ymask))
         image: Optional[int] = None
         for ai in range(k):
             for bi in range(ai + 1, k):
@@ -239,7 +234,7 @@ def build_cluster(iv: BruhatInterval, ideal: Iterable[int], x: int) -> Hypercube
 
     # HC3 for every cover pair of antichains
     for ymask in antichains:
-        for p in _bits(ymask):
+        for p in bits(ymask):
             if not out_mask[theta[ymask ^ (1 << p)]] >> theta[ymask] & 1:
                 raise ClusterError(
                     "HC3 violated", f"x={format_perm(iv.elements[x])}"
@@ -261,7 +256,7 @@ def build_cluster(iv: BruhatInterval, ideal: Iterable[int], x: int) -> Hypercube
                     )
 
     images = {
-        frozenset(frontier[p] for p in _bits(ymask)): img
+        frozenset(frontier[p] for p in bits(ymask)): img
         for ymask, img in theta.items()
     }
     return HypercubeCluster(base=x, frontier=tuple(frontier), images=images)
@@ -297,7 +292,7 @@ def check_strong_hcd(iv: BruhatInterval, z: int) -> HcdCheck:
     if not 0 <= z < iv.size:
         raise ValueError(f"z = {z} is not an element index of the interval")
     ideal_mask = iv.down_mask[z]
-    members = sorted(_bits(ideal_mask))
+    members = sorted(bits(ideal_mask))
     if not is_diamond_closed(iv, members):
         return HcdCheck(False, "HD2", f"[u, {format_perm(iv.elements[z])}] is not diamond-closed")
     clusters: dict[int, HypercubeCluster] = {}
@@ -349,24 +344,15 @@ def first_disagreement(u: Perm, v: Perm) -> int:
     raise ValueError("u and v coincide")
 
 
-def _standardize(w: Perm, d: int) -> Perm:
-    """Delete the values below d from the one-line notation and shift."""
-    return tuple(x - d + 1 for x in w if x >= d)
-
-
-def _unstandardize(w: Perm, template: Perm, d: int) -> Perm:
-    out = list(template)
-    slots = [p for p in range(len(template)) if template[p] >= d]
-    for p, x in zip(slots, w):
-        out[p] = x + d - 1
-    return tuple(out)
-
-
 def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
-    """The standard decomposition: the ideal keeps the position of the
-    smallest disagreeing value d fixed, and the cluster maps are given by an
-    explicit right-multiplication cycle formula on the interval obtained by
-    deleting the values below d.
+    """The standard decomposition (Blundell-Buesing-Davies-Velickovic-
+    Williamson, arXiv:2111.15161), read on [u, v] itself at the smallest
+    disagreeing value d.
+
+    The values 1..d-1 sit at the same positions in every element of [u, v],
+    so the ideal is {x : x(p) = d} for p = u^-1(d), the frontier of each x
+    is reached by moving d to a later position, and the cluster maps are
+    given by an explicit right-multiplication cycle formula through p.
 
     The result is validated: it must agree exactly with the clusters rebuilt
     by diamond completion, so a successful return is a verified strong
@@ -376,66 +362,38 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
     if u == v:
         raise ValueError("the interval must have positive length")
     d = first_disagreement(u, v)
+    p = u.index(d) + 1  # position of the value d, fixed across the ideal
+    ideal = [i for i, x in enumerate(iv.elements) if x[p - 1] == d]
+    ideal_mask = sum(1 << i for i in ideal)
 
-    if d == 1:
-        work = iv
-        to_std = list(range(iv.size))
-        from_std = list(range(iv.size))
-    else:
-        work = build_interval(_standardize(u, d), _standardize(v, d))
-        to_std = [work.index[_standardize(x, d)] for x in iv.elements]
-        from_std = [0] * iv.size
-        for orig, std in enumerate(to_std):
-            from_std[std] = orig
-        if sorted(to_std) != list(range(iv.size)):
-            raise InvariantViolation("standardization is not a bijection")
-        for j, w in enumerate(work.elements):
-            if iv.elements[from_std[j]] != _unstandardize(w, u, d):
-                raise InvariantViolation("standardization inverse mismatch")
-
-    p = work.bottom.index(1) + 1  # position of the value 1, fixed across the ideal
-    ideal_std = [i for i, x in enumerate(work.elements) if x[p - 1] == 1]
-    ideal_mask = 0
-    for i in ideal_std:
-        ideal_mask |= 1 << i
-
-    maxima = [
-        i for i in ideal_std if not (work.up_mask[i] & ideal_mask & ~(1 << i))
-    ]
+    maxima = [i for i in ideal if not (iv.up_mask[i] & ideal_mask & ~(1 << i))]
     if len(maxima) != 1:
         raise InvariantViolation("standard ideal is not a lower interval")
-    z_std = maxima[0]
-    if work.down_mask[z_std] != ideal_mask:
+    z = maxima[0]
+    if iv.down_mask[z] != ideal_mask:
         raise InvariantViolation("standard ideal differs from [u, z]")
-    if ideal_mask == (1 << work.size) - 1:
+    if ideal_mask == (1 << iv.size) - 1:
         raise InvariantViolation("standard ideal must be proper")
 
-    clusters_std: dict[int, HypercubeCluster] = {}
-    for i in ideal_std:
-        x = work.elements[i]
-        frontier = sorted(j for j, _ in work.out_edges[i] if not ideal_mask >> j & 1)
+    clusters: dict[int, HypercubeCluster] = {}
+    for i in ideal:
+        x = iv.elements[i]
+        frontier = sorted(j for j, _ in iv.out_edges[i] if not ideal_mask >> j & 1)
         positions = []
         for j in frontier:
-            pos_of_1 = work.elements[j].index(1) + 1
-            if pos_of_1 <= p or right_cycle(x, (p, pos_of_1)) != work.elements[j]:
+            pos_of_d = iv.elements[j].index(d) + 1
+            if pos_of_d <= p or right_cycle(x, (p, pos_of_d)) != iv.elements[j]:
                 raise InvariantViolation("frontier element is not a cycle image")
-            positions.append(pos_of_1)
+            positions.append(pos_of_d)
         images: dict[frozenset[int], int] = {frozenset(): i}
         f = len(frontier)
         for sub in range(1, 1 << f):
-            chosen = sorted(
-                (positions[b], frontier[b]) for b in _bits(sub)
+            pos_list, members = zip(
+                *sorted((positions[b], frontier[b]) for b in bits(sub))
             )
-            pos_list = [c[0] for c in chosen]
-            decreasing = all(
-                x[pos_list[a] - 1] > x[pos_list[a + 1] - 1]
-                for a in range(len(pos_list) - 1)
-            )
-            members = [c[1] for c in chosen]
-            antichain = all(
-                not work.comparable(members[a], members[b])
-                for a in range(len(members))
-                for b in range(a + 1, len(members))
+            decreasing = all(x[a - 1] > x[b - 1] for a, b in zip(pos_list, pos_list[1:]))
+            antichain = not any(
+                iv.comparable(a, b) for a, b in combinations(members, 2)
             )
             if antichain != decreasing:
                 raise InvariantViolation(
@@ -444,27 +402,11 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
             if not antichain:
                 continue
             target = right_cycle(x, (p, *pos_list))
-            j = work.index.get(target)
+            j = iv.index.get(target)
             if j is None:
                 raise InvariantViolation("cycle image left the interval")
             images[frozenset(members)] = j
-        clusters_std[i] = HypercubeCluster(
-            base=i, frontier=tuple(frontier), images=images
-        )
-
-    # transport back through the standardization isomorphism
-    z = from_std[z_std]
-    ideal = frozenset(from_std[i] for i in ideal_std)
-    clusters: dict[int, HypercubeCluster] = {}
-    for i, cl in clusters_std.items():
-        clusters[from_std[i]] = HypercubeCluster(
-            base=from_std[i],
-            frontier=tuple(sorted(from_std[j] for j in cl.frontier)),
-            images={
-                frozenset(from_std[j] for j in y): from_std[img]
-                for y, img in cl.images.items()
-            },
-        )
+        clusters[i] = HypercubeCluster(base=i, frontier=tuple(frontier), images=images)
 
     # the explicit formula must agree with the generic diamond-completion
     # construction; this also certifies HD1-HD3
@@ -474,14 +416,16 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
             f"standard decomposition failed {verdict.failed_axiom}: {verdict.reason}"
         )
     rebuilt = verdict.decomposition
-    if rebuilt.ideal != ideal:
+    if rebuilt.ideal != frozenset(ideal):
         raise InvariantViolation("standard ideal disagrees with [u, z]")
-    for x in ideal:
-        if rebuilt.clusters[x].images != clusters[x].images:
+    for i in ideal:
+        if rebuilt.clusters[i].images != clusters[i].images:
             raise InvariantViolation(
                 "standard cluster disagrees with the rebuilt cluster"
             )
-    return HypercubeDecomposition(interval=iv, z=z, ideal=ideal, clusters=clusters)
+    return HypercubeDecomposition(
+        interval=iv, z=z, ideal=frozenset(ideal), clusters=clusters
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 Bruhat intervals [u, v]: element sets, Hasse diagrams, reflection-labelled
 Bruhat graphs, and abstract-poset isomorphism.
 
-Elements of an interval are referenced by dense integer indices, assigned in
-(rank, one-line notation) order, so index 0 is u and the last index is v.
-Subsets of an interval are bitmasks (Python ints) wherever speed matters.
+An interval is materialised in one downward scan of the reflections from v,
+which finds its elements and its Bruhat graph together.  Elements are
+referenced by dense integer indices, assigned in (rank, one-line notation)
+order, so index 0 is u and the last index is v.  Subsets of an interval are
+bitmasks (Python ints) wherever speed matters.
 """
 
 from __future__ import annotations
@@ -27,28 +29,6 @@ from .perms import (
     reflections,
     root_of,
 )
-
-
-def interval_elements(u: Perm, v: Perm) -> set[Perm]:
-    """All x with u <= x <= v, by BFS downward from v along covers."""
-    if not bruhat_leq(u, v):
-        raise EmptyIntervalError(
-            f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order"
-        )
-    T = reflections(len(u))
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for t in T:
-                if reflection_length_delta(t, x) == -1:
-                    y = apply_reflection(t, x)
-                    if y not in seen and bruhat_leq(u, y):
-                        seen.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 @dataclass(eq=False)
@@ -102,50 +82,71 @@ class BruhatInterval:
         return AbstractPoset(self.size, self.hasse_edges, self.rank)
 
 
-def build_interval(u: Perm, v: Perm) -> BruhatInterval:
-    """Materialize [u, v]; raises EmptyIntervalError when u is not <= v."""
-    base = length(u)
-    elements = sorted(interval_elements(u, v), key=lambda x: (length(x), x))
-    index = {x: i for i, x in enumerate(elements)}
-    rank = tuple(length(x) - base for x in elements)
-    m = len(elements)
+def bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
+
+def build_interval(u: Perm, v: Perm) -> BruhatInterval:
+    """Materialize [u, v] in one downward scan from v; raises
+    EmptyIntervalError when u is not <= v.
+
+    Every element x found so far is expanded along each reflection t with
+    l(t x) < l(x); y = t x belongs to the interval iff u <= y, a verdict
+    taken once per y.  Every Bruhat edge y -> x of [u, v] is met exactly
+    once, at its upper end x, and is a cover when the length drops by one.
+    """
+    if not bruhat_leq(u, v):
+        raise EmptyIntervalError(
+            f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order"
+        )
     T = reflections(len(u))
+    base = length(u)
+    ell = {v: length(v)}  # the length of every y reached, None unless u <= y
+    found = [v]
+    scanned: list[tuple[Perm, Perm, Reflection, int]] = []
+    for x in found:  # grows while it is scanned
+        for t in T:
+            delta = reflection_length_delta(t, x)
+            if delta > 0:
+                continue
+            y = apply_reflection(t, x)
+            if y not in ell:
+                ell[y] = ell[x] + delta if bruhat_leq(u, y) else None
+                if ell[y] is not None:
+                    found.append(y)
+            if ell[y] is not None:
+                scanned.append((y, x, t, delta))
+
+    elements = sorted(found, key=lambda x: (ell[x], x))
+    index = {x: i for i, x in enumerate(elements)}
+    rank = tuple(ell[x] - base for x in elements)
+    m = len(elements)
+    # (lower end, label) order: the order of an upward scan by index
+    edges = sorted((index[y], t, index[x], delta) for y, x, t, delta in scanned)
+
     hasse: list[tuple[int, int]] = []
     bruhat: list[tuple[int, int, Reflection]] = []
     out_edges: list[list[tuple[int, Reflection]]] = [[] for _ in range(m)]
     in_edges: list[list[tuple[int, Reflection]]] = [[] for _ in range(m)]
     out_mask = [0] * m
-    for i, x in enumerate(elements):
-        for t in T:
-            delta = reflection_length_delta(t, x)
-            if delta < 0:
-                continue
-            j = index.get(apply_reflection(t, x))
-            if j is None:
-                continue
-            bruhat.append((i, j, t))
-            out_edges[i].append((j, t))
-            in_edges[j].append((i, t))
-            out_mask[i] |= 1 << j
-            if delta == 1:
-                hasse.append((i, j))
-
-    # transitive closure along covers, by rank
-    up_mask = [0] * m
-    down_mask = [0] * m
-    for i in range(m - 1, -1, -1):
-        acc = 1 << i
-        for j, t in out_edges[i]:
-            if rank[j] == rank[i] + 1:
-                acc |= up_mask[j]
-        up_mask[i] = acc
-    for j in range(m):
-        acc = 1 << j
-        for i, t in in_edges[j]:
-            if rank[i] == rank[j] - 1:
-                acc |= down_mask[i]
-        down_mask[j] = acc
+    up_mask = [1 << i for i in range(m)]
+    down_mask = list(up_mask)
+    # transitive closure along covers: the edges run by lower end, so every
+    # mask is complete before it is read
+    for i, t, j, delta in edges:
+        bruhat.append((i, j, t))
+        out_edges[i].append((j, t))
+        in_edges[j].append((i, t))
+        out_mask[i] |= 1 << j
+        if delta == -1:
+            hasse.append((i, j))
+            down_mask[j] |= down_mask[i]
+    for i, j in reversed(hasse):
+        up_mask[i] |= up_mask[j]
 
     return BruhatInterval(
         bottom=u,

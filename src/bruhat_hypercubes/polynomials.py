@@ -5,8 +5,9 @@ A polynomial in q is a tuple of int coefficients, index k holding the
 coefficient of q^k, with no trailing zeros; the zero polynomial is ().
 Python ints make overflow impossible by construction.
 
-The three recursively defined families are memoized module-wide, keyed by
-one-line tuples, so repeated interval analyses share work.  All functions
+R and R-tilde come from descent recurrences, P from one table over the
+interval [u, v]; all three are memoized module-wide, keyed by one-line
+tuples, so repeated interval analyses share work.  All functions
 are pure; under CPython the dict caches are safe to share across threads,
 and results are deterministic either way.
 """
@@ -16,8 +17,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .intervals import interval_elements
-from .perms import Perm, bruhat_leq, descents, length, right_transposition
+from .intervals import bits, build_interval
+from .perms import Perm, bruhat_leq, descents, right_transposition
 
 QPoly = tuple[int, ...]
 
@@ -170,40 +171,44 @@ def r_poly(u: Perm, v: Perm) -> QPoly:
 def kl_poly(u: Perm, v: Perm) -> QPoly:
     """The Kazhdan-Lusztig polynomial P(u, v).
 
-    Determined by P(v, v) = 1, deg P <= (l(u,v) - 1)/2 for u < v, and the
-    inversion identity  q^l P(1/q) = sum over a in [u, v] of R(u, a) P(a, v).
-    The unknown P(u, v) is read off the high coefficients of the partial sum
-    (the two sides cannot overlap in degree), then the full identity is
-    re-verified exactly.
+    Determined by P(v, v) = 1, deg P <= (l(x,v) - 1)/2 for x < v, and the
+    inversion identity  q^l P(1/q) = sum over a in [x, v] of R(x, a) P(a, v)
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 5.1).  One table
+    over the interval [u, v] gives P(x, v) for every x in it, top down: the
+    unknown P(x, v) is read off the high coefficients of the partial sum over
+    a in [x, v], a != x (the two sides cannot overlap in degree), then the
+    full identity is re-verified exactly.  Every entry is memoized.
     """
     key = (u, v)
     hit = _P_MEMO.get(key)
     if hit is not None:
         return hit
-    if u == v:
-        _P_MEMO[key] = ONE
-        return ONE
     if not bruhat_leq(u, v):
         _P_MEMO[key] = ZERO
         return ZERO
-    ell = length(v) - length(u)
-    partial = ZERO
-    for a in sorted(interval_elements(u, v)):
-        if a != u:
-            partial = qp_add(partial, qp_mul(r_poly(u, a), kl_poly(a, v)))
-    bound = (ell - 1) // 2
-    coeffs = [0] * (bound + 1)
-    for j in range(bound + 1):
-        idx = ell - j
-        if idx < len(partial):
-            coeffs[j] = partial[idx]
-    res = qp_normalize(coeffs)
-    if qp_mirror(res, ell) != qp_add(res, partial):
-        raise InvariantViolation(
-            f"P extraction failed the defining identity at ({u}, {v})"
+    iv = build_interval(u, v)
+    _P_MEMO[(v, v)] = ONE
+    table: list[QPoly] = [ONE] * iv.size
+    for i in range(iv.size - 2, -1, -1):
+        x = iv.elements[i]
+        hit = _P_MEMO.get((x, v))
+        if hit is not None:
+            table[i] = hit
+            continue
+        partial = ZERO
+        for a in bits(iv.up_mask[i] ^ (1 << i)):
+            partial = qp_add(partial, qp_mul(r_poly(x, iv.elements[a]), table[a]))
+        ell = iv.length - iv.rank[i]
+        bound = (ell - 1) // 2
+        res = qp_normalize(
+            [partial[ell - j] if ell - j < len(partial) else 0 for j in range(bound + 1)]
         )
-    _P_MEMO[key] = res
-    return res
+        if qp_mirror(res, ell) != qp_add(res, partial):
+            raise InvariantViolation(
+                f"P extraction failed the defining identity at ({x}, {v})"
+            )
+        table[i] = _P_MEMO[(x, v)] = res
+    return table[0]
 
 
 def rtilde_from_r(u: Perm, v: Perm) -> QPoly:

@@ -55,7 +55,6 @@ from bruhat_hypercubes.reflection_orders import (
     rtilde_by_paths,
     standard_E_order,
 )
-from bruhat_hypercubes.intervals import interval_elements
 
 from helpers import (
     comparable_pairs,
@@ -92,7 +91,7 @@ def test_criterion_2_inequality_exhaustive_z():
     exhaustively over S_4, and over a seeded 5% sample of S_5 intervals."""
     strong = 0
     for u, v in comparable_pairs(4):
-        report = analyze_interval(u, v, exhaustive_z=True)
+        report = analyze_interval(build_interval(u, v), exhaustive_z=True)
         assert report["counterexamples"] == [], (u, v)
         strong += report["counts"]["strong"]
 
@@ -100,7 +99,7 @@ def test_criterion_2_inequality_exhaustive_z():
     sampled = [p for p in comparable_pairs(5) if rng.random() < 0.05]
     assert len(sampled) > 100
     for u, v in sampled:
-        report = analyze_interval(u, v, exhaustive_z=True)
+        report = analyze_interval(build_interval(u, v), exhaustive_z=True)
         assert report["counterexamples"] == [], (u, v)
         strong += report["counts"]["strong"]
     print(
@@ -181,7 +180,7 @@ def test_criterion_7_defining_identities_s4():
         ell = length(v) - length(u)
         p = kl_poly(u, v)
         total = ()
-        for a in sorted(interval_elements(u, v)):
+        for a in build_interval(u, v).elements:
             total = qp_add(total, qp_mul(r_poly(u, a), kl_poly(a, v)))
         assert total == qp_mirror(p, ell), (u, v)
         if u != v:

@@ -208,3 +208,32 @@ def test_counterexample_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "2", "--json")
     assert code == 2
     assert "COUNTEREXAMPLE" in err
+
+
+def test_verify_iso_classes_builds_each_interval_once(capsys, monkeypatch):
+    calls = []
+    real = cli.build_interval
+
+    def counting(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(cli, "build_interval", counting)
+    code, _, _ = run(capsys, "verify", "3", "--iso-classes")
+    assert code == 0
+    assert len(calls) == 19  # the comparable pairs of S_3, each built once
+
+
+def test_verify_rejects_an_empty_shard(capsys):
+    # S_2 has 3 comparable pairs, so the 4th of 4 slices holds none
+    code, out, err = run(capsys, "verify", "2", "--shard", "4/4")
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    assert cli.main(["verify", "3", "--cache", "x"]) == 1
+    assert cli.main(["verify", "3", "--shard"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out

@@ -8,6 +8,7 @@ from bruhat_hypercubes.errors import (
     DiamondFlipError,
     InvariantViolation,
 )
+from bruhat_hypercubes import hypercubes
 from bruhat_hypercubes.hypercubes import (
     build_cluster,
     check_strong_hcd,
@@ -277,7 +278,8 @@ def test_standard_ideal_of_strict_inequality_interval():
 
 
 def test_standard_hcd_with_nontrivial_standardization():
-    # d > 1 exercises the delete-and-relabel isomorphism both ways
+    # d > 1: the ideal fixes the position of the value d, not of 1, and the
+    # cycle formula runs through that position on [u, v] itself
     pairs = [(u, v) for u, v in comparable_pairs(4) if u != v and first_disagreement(u, v) > 1]
     assert pairs
     for u, v in pairs[::3]:
@@ -287,6 +289,20 @@ def test_standard_hcd_with_nontrivial_standardization():
         pos = inverse(u)[d - 1]
         assert all(inverse(iv.elements[i])[d - 1] == pos for i in hcd.ideal)
         assert htilde(iv, hcd) == rtilde_from_r(u, v)
+
+
+def test_standard_hcd_builds_no_second_interval(monkeypatch):
+    # every d > 1 interval of S_4 is decomposed on the interval it is given
+    pairs = [(u, v) for u, v in comparable_pairs(4) if u != v and first_disagreement(u, v) > 1]
+    ivs = [build_interval(u, v) for u, v in pairs]
+
+    def refuse(u, v):
+        raise AssertionError("standard_hcd built an interval")
+
+    monkeypatch.setattr(hypercubes, "build_interval", refuse)
+    for iv in ivs:
+        hcd = standard_hcd(iv)
+        assert htilde(iv, hcd) == rtilde_from_r(iv.bottom, iv.top)
 
 
 def test_standard_hcd_proper_on_all_s4():

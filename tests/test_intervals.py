@@ -17,10 +17,11 @@ from bruhat_hypercubes.perms import (
     identity,
     length,
     longest_element,
+    reflections,
     root_of,
 )
 
-from helpers import comparable_pairs
+from helpers import brute_length, comparable_pairs, reachability_leq
 
 
 def test_single_element_interval():
@@ -69,6 +70,27 @@ def test_interval_contents_and_edges_s4():
                 assert (i, j) in hasse
         for i, j in hasse:
             assert iv.rank[j] == iv.rank[i] + 1
+
+
+def test_interval_is_complete_against_brute_force_order():
+    # the one downward scan must find every element and every Bruhat edge:
+    # all of S_4 and every 25th pair of S_5, against the order rebuilt from
+    # scratch as the transitive closure of the length-raising edges
+    for n, pairs in ((4, comparable_pairs(4)), (5, comparable_pairs(5)[::25])):
+        leq = reachability_leq(n)
+        group = list(all_perms(n))
+        for u, v in pairs:
+            iv = build_interval(u, v)
+            members = {x for x in group if leq[(u, x)] and leq[(x, v)]}
+            assert set(iv.elements) == members, (u, v)
+            want = sorted(
+                (iv.index[x], t, iv.index[y])
+                for x in members
+                for t in reflections(n)
+                for y in [apply_reflection(t, x)]
+                if y in members and brute_length(y) > brute_length(x)
+            )
+            assert iv.bruhat_edges == tuple((i, j, t) for i, t, j in want), (u, v)
 
 
 def test_unique_min_max_and_chain_connectivity():

@@ -164,12 +164,10 @@ def test_kl_poly_against_linear_oracle_sampled():
 
 
 def test_defining_identity_exact_s4():
-    from bruhat_hypercubes.intervals import interval_elements
-
     for u, v in comparable_pairs(4):
         ell = length(v) - length(u)
         total = ()
-        for a in sorted(interval_elements(u, v)):
+        for a in build_interval(u, v).elements:
             total = qp_add(total, qp_mul(r_poly(u, a), kl_poly(a, v)))
         assert total == qp_mirror(kl_poly(u, v), ell), (u, v)
         if u != v:
@@ -231,3 +229,10 @@ def test_rtilde_against_r_and_paths_s6_s7(data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     order = random_functional_order(len(u), rng)
     assert rtilde_by_paths(build_interval(u, v), order) == rt
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_kl_poly_against_linear_oracle_s6_s7(data):
+    u, v = _comparable_pair(data, 5)
+    assert kl_poly(u, v) == oracle_kl(u, v), (u, v)
