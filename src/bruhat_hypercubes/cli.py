@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import EmptyIntervalError
@@ -29,8 +28,15 @@ from .hypercubes import (
     special_matchings,
     standard_hcd,
 )
-from .intervals import BruhatInterval, build_interval, iso_signature, poset_isomorphic
-from .perms import Perm, all_perms, bruhat_leq, format_perm, length, parse_perm
+from .intervals import (
+    BruhatInterval,
+    bits,
+    build_interval,
+    comparable_pairs,
+    iso_signature,
+    poset_isomorphic,
+)
+from .perms import Perm, bruhat_leq, format_perm, parse_perm
 from .polynomials import (
     EQUAL,
     GREATER_EQUAL,
@@ -40,18 +46,6 @@ from .polynomials import (
     r_poly,
     rtilde_from_r,
 )
-
-
-@lru_cache(maxsize=None)
-def comparable_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
-    """All pairs u <= v in S_n, sorted by (length(v), v, u)."""
-    perms = sorted(all_perms(n), key=lambda w: (length(w), w))
-    out = []
-    for v in perms:
-        for u in perms:
-            if length(u) <= length(v) and bruhat_leq(u, v):
-                out.append((u, v))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +72,7 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
         report["standard"] = {
             "d": first_disagreement(u, v),
             "z": format_perm(iv.elements[hcd.z]),
-            "ideal_size": len(hcd.ideal),
+            "ideal_size": hcd.ideal.bit_count(),
             "h_tilde": list(h),
             "verdict": verdict,
         }
@@ -249,18 +243,19 @@ def cmd_hcd(args) -> int:
             "v": args.v,
             "d": first_disagreement(u, v),
             "z": format_perm(iv.elements[hcd.z]),
-            "ideal": [format_perm(iv.elements[i]) for i in sorted(hcd.ideal)],
+            "ideal": [format_perm(iv.elements[i]) for i in bits(hcd.ideal)],
             "clusters": [
                 {
                     "base": format_perm(iv.elements[x]),
-                    "frontier": [format_perm(iv.elements[j]) for j in cl.frontier],
+                    "frontier": [format_perm(iv.elements[j]) for j in bits(cl.frontier)],
                     "images": [
                         {
-                            "antichain": sorted(format_perm(iv.elements[y]) for y in ys),
+                            "antichain": sorted(format_perm(iv.elements[y]) for y in bits(ys)),
                             "image": format_perm(iv.elements[img]),
                         }
                         for ys, img in sorted(
-                            cl.images.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
+                            cl.images.items(),
+                            key=lambda kv: (kv[0].bit_count(), list(bits(kv[0]))),
                         )
                     ],
                 }

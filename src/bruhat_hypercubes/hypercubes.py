@@ -17,14 +17,14 @@ Terminology, relative to an interval [u, v] and a lower ideal I:
 
 Clusters are built greedily by antichain size; uniqueness of the completion
 is enforced for every pair of removed elements, which catches non-strong
-ideals as early as possible.
+ideals as early as possible.  Ideals, frontiers and antichains are bitmasks
+over the interval's element indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import ClusterError, DiamondFlipError, InvariantViolation
 # build_interval is not called here: perfbench/tracing.py wraps this name
@@ -85,12 +85,9 @@ def diamond_flip(iv: BruhatInterval, x1: int, x2: int, x4: int) -> tuple[int, in
     return (x1, candidates[0], x4)
 
 
-def diamond_closure(iv: BruhatInterval, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest superset of seed closed under completing diamonds with three
+def diamond_closure(iv: BruhatInterval, mask: int) -> int:
+    """Smallest superset of mask closed under completing diamonds with three
     vertices present."""
-    mask = 0
-    for x in seed:
-        mask |= 1 << x
     diamonds = iv.diamonds
     changed = True
     while changed:
@@ -102,13 +99,10 @@ def diamond_closure(iv: BruhatInterval, seed: Iterable[int]) -> frozenset[int]:
             if present == 3:
                 mask |= (1 << x1) | (1 << x2) | (1 << x3) | (1 << x4)
                 changed = True
-    return frozenset(bits(mask))
+    return mask
 
 
-def is_diamond_closed(iv: BruhatInterval, subset: Iterable[int]) -> bool:
-    mask = 0
-    for x in subset:
-        mask |= 1 << x
+def is_diamond_closed(iv: BruhatInterval, mask: int) -> bool:
     for x1, x2, x3, x4 in iv.diamonds:
         present = (
             (mask >> x1 & 1) + (mask >> x2 & 1) + (mask >> x3 & 1) + (mask >> x4 & 1)
@@ -124,35 +118,34 @@ def is_diamond_closed(iv: BruhatInterval, subset: Iterable[int]) -> bool:
 
 @dataclass(frozen=True)
 class HypercubeCluster:
-    """The cluster map at a base element: antichains over the frontier
+    """The cluster map at a base element: antichains of the frontier
     (Bruhat-edge targets outside the ideal) to interval elements."""
 
     base: int
-    frontier: tuple[int, ...]
-    images: dict[frozenset[int], int]
+    frontier: int
+    images: dict[int, int]
 
 
-def _antichain_masks(incomp: list[int]) -> list[int]:
-    """All independent sets of the frontier comparability graph, as bitmasks
-    over frontier positions, in (size, value) order."""
+def _antichain_masks(incomp: dict[int, int]) -> list[int]:
+    """All antichains of a frontier, given as the incomparable members of
+    each member, in (size, value) order."""
     out = [0]
 
     def extend(mask: int, allowed: int) -> None:
         rest = allowed
         while rest:
             low = rest & -rest
-            p = low.bit_length() - 1
             rest ^= low
             nxt = mask | low
             out.append(nxt)
-            extend(nxt, allowed & incomp[p] & ~((low << 1) - 1))
+            extend(nxt, allowed & incomp[low.bit_length() - 1] & ~((low << 1) - 1))
 
-    extend(0, (1 << len(incomp)) - 1)
-    out.sort(key=lambda m: (bin(m).count("1"), m))
+    extend(0, sum(1 << j for j in incomp))
+    out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
 
-def build_cluster(iv: BruhatInterval, ideal: Iterable[int], x: int) -> HypercubeCluster:
+def build_cluster(iv: BruhatInterval, ideal: int, x: int) -> HypercubeCluster:
     """Construct the strong hypercube cluster at x relative to a lower ideal,
     or raise ClusterError when none exists.
 
@@ -163,33 +156,26 @@ def build_cluster(iv: BruhatInterval, ideal: Iterable[int], x: int) -> Hypercube
     must land on theta of their union, and must not exist at all when that
     union is not an antichain.
     """
-    ideal_mask = 0
-    for e in ideal:
-        ideal_mask |= 1 << e
-    if not ideal_mask >> x & 1:
+    if not ideal >> x & 1:
         raise ValueError("x must belong to the ideal")
-    for e in bits(ideal_mask):
-        if iv.down_mask[e] & ~ideal_mask:
+    for e in bits(ideal):
+        if iv.down_mask[e] & ~ideal:
             raise ValueError("ideal is not a lower set of the interval")
 
-    frontier = sorted(j for j, _ in iv.out_edges[x] if not ideal_mask >> j & 1)
-    f = len(frontier)
-    incomp = [0] * f
-    for a in range(f):
-        for b in range(a + 1, f):
-            if not iv.comparable(frontier[a], frontier[b]):
-                incomp[a] |= 1 << b
-                incomp[b] |= 1 << a
+    frontier = iv.out_mask[x] & ~ideal
+    incomp = {
+        j: frontier & ~(iv.up_mask[j] | iv.down_mask[j]) for j in bits(frontier)
+    }
     antichains = _antichain_masks(incomp)
     is_antichain = set(antichains)
 
     theta: dict[int, int] = {0: x}
-    for p in range(f):
-        theta[1 << p] = frontier[p]
+    for j in bits(frontier):
+        theta[1 << j] = j
 
     out_mask = iv.out_mask
     for ymask in antichains:
-        k = bin(ymask).count("1")
+        k = ymask.bit_count()
         if k < 2:
             continue
         members = list(bits(ymask))
@@ -242,7 +228,7 @@ def build_cluster(iv: BruhatInterval, ideal: Iterable[int], x: int) -> Hypercube
 
     # HC4 in full: unions that are not antichains must admit no completion
     for zmask in antichains:
-        ext = [p for p in range(f) if not zmask >> p & 1 and (zmask | 1 << p) in is_antichain]
+        ext = [j for j in bits(frontier & ~zmask) if (zmask | 1 << j) in is_antichain]
         for ai in range(len(ext)):
             for bi in range(ai + 1, len(ext)):
                 a, b = ext[ai], ext[bi]
@@ -255,11 +241,7 @@ def build_cluster(iv: BruhatInterval, ideal: Iterable[int], x: int) -> Hypercube
                         "HC4 violated", f"x={format_perm(iv.elements[x])}"
                     )
 
-    images = {
-        frozenset(frontier[p] for p in bits(ymask)): img
-        for ymask, img in theta.items()
-    }
-    return HypercubeCluster(base=x, frontier=tuple(frontier), images=images)
+    return HypercubeCluster(base=x, frontier=frontier, images=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +252,7 @@ def build_cluster(iv: BruhatInterval, ideal: Iterable[int], x: int) -> Hypercube
 class HypercubeDecomposition:
     interval: BruhatInterval
     z: int
-    ideal: frozenset[int]
+    ideal: int
     clusters: dict[int, HypercubeCluster]
 
     @property
@@ -291,14 +273,13 @@ def check_strong_hcd(iv: BruhatInterval, z: int) -> HcdCheck:
     returned inside the check result."""
     if not 0 <= z < iv.size:
         raise ValueError(f"z = {z} is not an element index of the interval")
-    ideal_mask = iv.down_mask[z]
-    members = sorted(bits(ideal_mask))
-    if not is_diamond_closed(iv, members):
+    ideal = iv.down_mask[z]
+    if not is_diamond_closed(iv, ideal):
         return HcdCheck(False, "HD2", f"[u, {format_perm(iv.elements[z])}] is not diamond-closed")
     clusters: dict[int, HypercubeCluster] = {}
-    for x in members:
+    for x in bits(ideal):
         try:
-            clusters[x] = build_cluster(iv, members, x)
+            clusters[x] = build_cluster(iv, ideal, x)
         except ClusterError as err:
             return HcdCheck(
                 False,
@@ -308,7 +289,7 @@ def check_strong_hcd(iv: BruhatInterval, z: int) -> HcdCheck:
     return HcdCheck(
         True,
         decomposition=HypercubeDecomposition(
-            interval=iv, z=z, ideal=frozenset(members), clusters=clusters
+            interval=iv, z=z, ideal=ideal, clusters=clusters
         ),
     )
 
@@ -322,8 +303,8 @@ def htilde(iv: BruhatInterval, hcd: HypercubeDecomposition) -> QPoly:
     q^|Y| R-tilde(u, x)."""
     top = iv.size - 1
     acc = ZERO
-    for x in sorted(hcd.ideal):
-        hits = [len(y) for y, img in hcd.clusters[x].images.items() if img == top]
+    for x in bits(hcd.ideal):
+        hits = [y.bit_count() for y, img in hcd.clusters[x].images.items() if img == top]
         if hits:
             rt = rtilde_from_r(iv.bottom, iv.elements[x])
             for k in hits:
@@ -363,37 +344,34 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
         raise ValueError("the interval must have positive length")
     d = first_disagreement(u, v)
     p = u.index(d) + 1  # position of the value d, fixed across the ideal
-    ideal = [i for i, x in enumerate(iv.elements) if x[p - 1] == d]
-    ideal_mask = sum(1 << i for i in ideal)
+    ideal = sum(1 << i for i, x in enumerate(iv.elements) if x[p - 1] == d)
 
-    maxima = [i for i in ideal if not (iv.up_mask[i] & ideal_mask & ~(1 << i))]
+    maxima = [i for i in bits(ideal) if not (iv.up_mask[i] & ideal & ~(1 << i))]
     if len(maxima) != 1:
         raise InvariantViolation("standard ideal is not a lower interval")
     z = maxima[0]
-    if iv.down_mask[z] != ideal_mask:
+    if iv.down_mask[z] != ideal:
         raise InvariantViolation("standard ideal differs from [u, z]")
-    if ideal_mask == (1 << iv.size) - 1:
+    if ideal == (1 << iv.size) - 1:
         raise InvariantViolation("standard ideal must be proper")
 
     clusters: dict[int, HypercubeCluster] = {}
-    for i in ideal:
+    for i in bits(ideal):
         x = iv.elements[i]
-        frontier = sorted(j for j, _ in iv.out_edges[i] if not ideal_mask >> j & 1)
-        positions = []
-        for j in frontier:
+        frontier = iv.out_mask[i] & ~ideal
+        position: dict[int, int] = {}
+        for j in bits(frontier):
             pos_of_d = iv.elements[j].index(d) + 1
             if pos_of_d <= p or right_cycle(x, (p, pos_of_d)) != iv.elements[j]:
                 raise InvariantViolation("frontier element is not a cycle image")
-            positions.append(pos_of_d)
-        images: dict[frozenset[int], int] = {frozenset(): i}
-        f = len(frontier)
-        for sub in range(1, 1 << f):
-            pos_list, members = zip(
-                *sorted((positions[b], frontier[b]) for b in bits(sub))
-            )
+            position[j] = pos_of_d
+        images: dict[int, int] = {0: i}
+        sub = 0
+        while sub := (sub - frontier) & frontier:  # nonempty subsets, ascending
+            pos_list = sorted(position[j] for j in bits(sub))
             decreasing = all(x[a - 1] > x[b - 1] for a, b in zip(pos_list, pos_list[1:]))
-            antichain = not any(
-                iv.comparable(a, b) for a, b in combinations(members, 2)
+            antichain = all(
+                sub & (iv.up_mask[j] | iv.down_mask[j]) == 1 << j for j in bits(sub)
             )
             if antichain != decreasing:
                 raise InvariantViolation(
@@ -405,8 +383,8 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
             j = iv.index.get(target)
             if j is None:
                 raise InvariantViolation("cycle image left the interval")
-            images[frozenset(members)] = j
-        clusters[i] = HypercubeCluster(base=i, frontier=tuple(frontier), images=images)
+            images[sub] = j
+        clusters[i] = HypercubeCluster(base=i, frontier=frontier, images=images)
 
     # the explicit formula must agree with the generic diamond-completion
     # construction; this also certifies HD1-HD3
@@ -416,15 +394,15 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
             f"standard decomposition failed {verdict.failed_axiom}: {verdict.reason}"
         )
     rebuilt = verdict.decomposition
-    if rebuilt.ideal != frozenset(ideal):
+    if rebuilt.ideal != ideal:
         raise InvariantViolation("standard ideal disagrees with [u, z]")
-    for i in ideal:
+    for i in bits(ideal):
         if rebuilt.clusters[i].images != clusters[i].images:
             raise InvariantViolation(
                 "standard cluster disagrees with the rebuilt cluster"
             )
     return HypercubeDecomposition(
-        interval=iv, z=z, ideal=frozenset(ideal), clusters=clusters
+        interval=iv, z=z, ideal=ideal, clusters=clusters
     )
 
 
@@ -438,9 +416,7 @@ def is_simple(iv: BruhatInterval) -> bool:
     return root_forest(iv.n, (t for _, t in atom_indices(iv))) is not None
 
 
-def coset_ideal_form(
-    iv: BruhatInterval, ideal: Iterable[int]
-) -> tuple[tuple[int, ...], ...]:
+def coset_ideal_form(iv: BruhatInterval, mask: int) -> tuple[tuple[int, ...], ...]:
     """For a diamond-closed order ideal of a simple interval: the partition
     of {1..n} whose block permutations generate the reflection subgroup W'
     with ideal = [u, v] with x W'-related to u.
@@ -448,16 +424,12 @@ def coset_ideal_form(
     Verifies ideal == {x : x u^-1 preserves every block}; failure to verify
     is an internal alarm, not an input error.
     """
-    members = sorted(set(ideal))
-    mask = 0
-    for x in members:
-        mask |= 1 << x
     if not is_simple(iv):
         raise ValueError("the interval must be simple")
-    for x in members:
+    for x in bits(mask):
         if iv.down_mask[x] & ~mask:
             raise ValueError("ideal is not a lower set")
-    if not is_diamond_closed(iv, members):
+    if not is_diamond_closed(iv, mask):
         raise ValueError("ideal is not diamond-closed")
 
     comp = root_forest(iv.n, (t for j, t in atom_indices(iv) if mask >> j & 1))
@@ -471,12 +443,12 @@ def coset_ideal_form(
         for a in b:
             block_of[a] = b
     u_inv = inverse(iv.bottom)
-    coset = set()
+    coset = 0
     for idx, x in enumerate(iv.elements):
         pi = tuple(x[u_inv[k - 1] - 1] for k in range(1, iv.n + 1))  # x * u^-1
         if all(block_of[k] is block_of[pi[k - 1]] for k in range(1, iv.n + 1)):
-            coset.add(idx)
-    if coset != set(members):
+            coset |= 1 << idx
+    if coset != mask:
         raise InvariantViolation(
             "diamond-closed ideal is not the coset intersection predicted"
         )
@@ -516,14 +488,18 @@ def special_matchings(iv: BruhatInterval) -> list[tuple[int, ...]]:
             return True
         return pa != pb and iv.leq(pa, pb)
 
-    def backtrack(lowest: int) -> None:
-        x = lowest
+    # an explicit stack of (x, next candidate index into nbrs[x]), one frame
+    # per matched pair x <-> partner[x]
+    resume: list[tuple[int, int]] = []
+    x, k = 0, 0
+    while True:
         while x < m and partner[x] >= 0:
             x += 1
         if x == m:
             results.append(tuple(partner))
-            return
-        for w in nbrs[x]:
+        while x < m and k < len(nbrs[x]):
+            w = nbrs[x][k]
+            k += 1
             if partner[w] >= 0:
                 continue
             partner[x] = w
@@ -531,9 +507,14 @@ def special_matchings(iv: BruhatInterval) -> list[tuple[int, ...]]:
             if all(edge_ok(a, b) for a, b in touching[x]) and all(
                 edge_ok(a, b) for a, b in touching[w]
             ):
-                backtrack(x + 1)
+                resume.append((x, k))
+                x, k = x + 1, 0
+                break
             partner[x] = -1
             partner[w] = -1
-
-    backtrack(0)
-    return results
+        else:
+            if not resume:
+                return results
+            x, k = resume.pop()
+            partner[partner[x]] = -1
+            partner[x] = -1

@@ -6,13 +6,14 @@ An interval is materialised in one downward scan of the reflections from v,
 which finds its elements and its Bruhat graph together.  Elements are
 referenced by dense integer indices, assigned in (rank, one-line notation)
 order, so index 0 is u and the last index is v.  Subsets of an interval are
-bitmasks (Python ints) wherever speed matters.
+bitmasks (Python ints) over these indices.  The Bruhat order of all of S_n
+is read off the interval [e, w0].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .errors import EmptyIntervalError, InvariantViolation
@@ -23,7 +24,9 @@ from .perms import (
     apply_reflection,
     bruhat_leq,
     format_perm,
+    identity,
     length,
+    longest_element,
     parse_perm,
     reflection_length_delta,
     reflections,
@@ -67,9 +70,6 @@ class BruhatInterval:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up_mask[i] >> j & 1)
-
-    def comparable(self, i: int, j: int) -> bool:
-        return bool((self.up_mask[i] >> j | self.up_mask[j] >> i) & 1)
 
     @cached_property
     def diamonds(self):
@@ -164,6 +164,15 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
     )
 
 
+@lru_cache(maxsize=None)
+def comparable_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
+    """All pairs u <= v in S_n, sorted by (length(v), v, u): the down-masks
+    of [e, w0], read in index order."""
+    group = build_interval(identity(n), longest_element(n))
+    w = group.elements
+    return tuple((w[i], v) for j, v in enumerate(w) for i in bits(group.down_mask[j]))
+
+
 def atom_indices(iv: BruhatInterval) -> tuple[tuple[int, Reflection], ...]:
     """Indices of the elements covering u, with their edge labels."""
     return tuple((j, t) for j, t in iv.out_edges[0] if iv.rank[j] == 1)
@@ -189,41 +198,6 @@ class AbstractPoset:
     rank: tuple[int, ...]
 
 
-def _refined_colors(p: AbstractPoset, q: AbstractPoset):
-    """Iteratively refine vertex colors on both posets simultaneously.
-
-    Returns (colors_p, colors_q) or None when the color multisets diverge,
-    which certifies non-isomorphism.
-    """
-    up_p, down_p = _adjacency(p)
-    up_q, down_q = _adjacency(q)
-    col_p = list(p.rank)
-    col_q = list(q.rank)
-    if sorted(col_p) != sorted(col_q):
-        return None
-    while True:
-        sigs = {}
-
-        def sig_of(x, col, up, down):
-            return (
-                col[x],
-                tuple(sorted(col[y] for y in up[x])),
-                tuple(sorted(col[y] for y in down[x])),
-            )
-
-        raw_p = [sig_of(x, col_p, up_p, down_p) for x in range(p.size)]
-        raw_q = [sig_of(x, col_q, up_q, down_q) for x in range(q.size)]
-        for s in sorted(set(raw_p) | set(raw_q)):
-            sigs[s] = len(sigs)
-        new_p = [sigs[s] for s in raw_p]
-        new_q = [sigs[s] for s in raw_q]
-        if sorted(new_p) != sorted(new_q):
-            return None
-        if len(set(new_p)) == len(set(col_p)):
-            return new_p, new_q
-        col_p, col_q = new_p, new_q
-
-
 def _adjacency(p: AbstractPoset):
     up = [[] for _ in range(p.size)]
     down = [[] for _ in range(p.size)]
@@ -233,18 +207,41 @@ def _adjacency(p: AbstractPoset):
     return up, down
 
 
+def _stable_colors(p: AbstractPoset):
+    """Refine rank colours by the colours of the upper and lower covers until
+    the partition is stable.  Returns (colors, signatures): a colour is the
+    rank of its signature among the sorted distinct signatures, so every
+    isomorphism preserves colours."""
+    up, down = _adjacency(p)
+    col = list(p.rank)
+    while True:
+        raw = [
+            (
+                col[x],
+                tuple(sorted(col[y] for y in up[x])),
+                tuple(sorted(col[y] for y in down[x])),
+            )
+            for x in range(p.size)
+        ]
+        ids = {s: k for k, s in enumerate(sorted(set(raw)))}
+        new = [ids[s] for s in raw]
+        if len(ids) == len(set(col)):
+            return new, raw
+        col = new
+
+
 def poset_isomorphic(p: AbstractPoset, q: AbstractPoset) -> Optional[tuple[int, ...]]:
     """A rank-preserving isomorphism p -> q as an index tuple, or None.
 
-    Backtracking seeded by iteratively refined (rank, degree) vertex
-    signatures; the returned mapping is verified against both edge sets.
+    Backtracking, with an explicit stack, over candidates of equal stable
+    colour; the returned mapping is verified against both edge sets.
     """
     if p.size != q.size or len(p.hasse) != len(q.hasse):
         return None
-    colors = _refined_colors(p, q)
-    if colors is None:
+    col_p, sig_p = _stable_colors(p)
+    col_q, sig_q = _stable_colors(q)
+    if sorted(sig_p) != sorted(sig_q):
         return None
-    col_p, col_q = colors
     up_p, down_p = _adjacency(p)
     up_q, down_q = _adjacency(q)
     up_q_set = [set(ys) for ys in up_q]
@@ -260,15 +257,19 @@ def poset_isomorphic(p: AbstractPoset, q: AbstractPoset) -> Optional[tuple[int, 
     down_p_set = [set(ys) for ys in down_p]
     mapping = [-1] * p.size
     inv = [-1] * q.size
-
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
+    # resume[d] is the next candidate index for order[d] once order[d + 1:]
+    # is abandoned
+    resume: list[int] = []
+    pos = k = 0
+    while pos < len(order):
         x = order[pos]
-        for y in by_color_q[col_p[x]]:
+        candidates = by_color_q[col_p[x]]
+        while k < len(candidates):
+            y = candidates[k]
+            k += 1
             if inv[y] >= 0:
                 continue
-            ok = all(
+            if all(
                 mapping[x2] < 0 or mapping[x2] in up_q_set[y] for x2 in up_p[x]
             ) and all(
                 mapping[x2] < 0 or mapping[x2] in down_q_set[y] for x2 in down_p[x]
@@ -276,19 +277,19 @@ def poset_isomorphic(p: AbstractPoset, q: AbstractPoset) -> Optional[tuple[int, 
                 inv[y2] < 0 or inv[y2] in up_p_set[x] for y2 in up_q[y]
             ) and all(
                 inv[y2] < 0 or inv[y2] in down_p_set[x] for y2 in down_q[y]
-            )
-            if not ok:
-                continue
-            mapping[x] = y
-            inv[y] = x
-            if extend(pos + 1):
-                return True
+            ):
+                mapping[x] = y
+                inv[y] = x
+                resume.append(k)
+                pos, k = pos + 1, 0
+                break
+        else:
+            if not resume:
+                return None
+            pos, k = pos - 1, resume.pop()
+            x = order[pos]
+            inv[mapping[x]] = -1
             mapping[x] = -1
-            inv[y] = -1
-        return False
-
-    if not extend(0):
-        return None
     result = tuple(mapping)
     # verify: bijection carrying the Hasse relation exactly
     if sorted(result) != list(range(p.size)):
@@ -301,24 +302,7 @@ def poset_isomorphic(p: AbstractPoset, q: AbstractPoset) -> Optional[tuple[int, 
 
 def iso_signature(p: AbstractPoset):
     """A cheap isomorphism invariant, usable as a grouping key."""
-    up, down = _adjacency(p)
-    col = list(p.rank)
-    while True:
-        sigs = {}
-        raw = [
-            (
-                col[x],
-                tuple(sorted(col[y] for y in up[x])),
-                tuple(sorted(col[y] for y in down[x])),
-            )
-            for x in range(p.size)
-        ]
-        for s in sorted(set(raw)):
-            sigs[s] = len(sigs)
-        new = [sigs[s] for s in raw]
-        if len(set(new)) == len(set(col)):
-            return (p.size, len(p.hasse), tuple(sorted(raw)))
-        col = new
+    return (p.size, len(p.hasse), tuple(sorted(_stable_colors(p)[1])))
 
 
 # ---------------------------------------------------------------------------

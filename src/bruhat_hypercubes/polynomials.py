@@ -131,12 +131,6 @@ _P_MEMO: dict[tuple[Perm, Perm], QPoly] = {}
 _RT_MEMO: dict[tuple[Perm, Perm], QPoly] = {}
 
 
-def clear_caches() -> None:
-    _R_MEMO.clear()
-    _P_MEMO.clear()
-    _RT_MEMO.clear()
-
-
 def r_poly(u: Perm, v: Perm) -> QPoly:
     """The R-polynomial, by the descent recurrence.
 

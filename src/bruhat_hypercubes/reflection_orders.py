@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation
-from .intervals import BruhatInterval
+from .intervals import BruhatInterval, bits
 from .perms import Reflection, reflections, root_forest
 from .polynomials import ONE, QPoly, ZERO, qp_add, qp_shift
 
@@ -250,20 +250,15 @@ class EFlags:
     e: bool
 
 
-def check_E_properties(
-    iv: BruhatInterval, ideal: Iterable[int], order: ReflectionOrder
-) -> EFlags:
-    """Check the compatibility properties of ``order`` with a lower ideal.
+def check_E_properties(iv: BruhatInterval, mask: int, order: ReflectionOrder) -> EFlags:
+    """Check the compatibility properties of ``order`` with the lower ideal
+    ``mask``.
 
     E1: at each x in I, labels of edges x -> I precede labels of edges
     x -> outside.  E2: same with labels of edges I -> x.  E: every label of
     an edge inside I precedes every label of an edge leaving I.
     """
-    members = sorted(set(ideal))
-    mask = 0
-    for x in members:
-        mask |= 1 << x
-    for x in members:
+    for x in bits(mask):
         if iv.down_mask[x] & ~mask:
             raise ValueError("ideal is not a lower set of the interval")
     pos = order.position
@@ -271,7 +266,7 @@ def check_E_properties(
     e1 = e2 = True
     internal_max = -1
     leaving_min = len(order.ordered)
-    for x in members:
+    for x in bits(mask):
         out_in = [pos[t] for y, t in iv.out_edges[x] if mask >> y & 1]
         out_leaving = [pos[t] for y, t in iv.out_edges[x] if not mask >> y & 1]
         incoming = [pos[t] for y, t in iv.in_edges[x]]

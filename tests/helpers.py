@@ -12,6 +12,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from bruhat_hypercubes.intervals import BruhatInterval, build_interval
 from bruhat_hypercubes.perms import (
     Perm,
@@ -19,6 +21,7 @@ from bruhat_hypercubes.perms import (
     apply_reflection,
     bruhat_leq,
     length,
+    reflection_length_delta,
     reflections,
 )
 from bruhat_hypercubes.polynomials import (
@@ -210,6 +213,22 @@ def comparable_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
     return tuple(
         (u, v) for v in perms for u in perms if bruhat_leq(u, v)
     )
+
+
+def draw_comparable_pair(data, max_length):
+    """A comparable pair u <= v of S_6 or S_7 with l(v) - l(u) <= max_length,
+    reached from a random v by a random walk down Bruhat covers."""
+    n = data.draw(st.sampled_from((6, 7)))
+    v = tuple(data.draw(st.permutations(range(1, n + 1))))
+    u = v
+    for _ in range(data.draw(st.integers(0, max_length))):
+        covers = [
+            t for t in reflections(n) if reflection_length_delta(t, u) == -1
+        ]
+        if not covers:
+            break
+        u = apply_reflection(data.draw(st.sampled_from(covers)), u)
+    return u, v
 
 
 def random_functional_order(n: int, rng) -> ReflectionOrder:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bruhat_hypercubes.errors import (
     ClusterError,
@@ -49,9 +51,16 @@ from bruhat_hypercubes.reflection_orders import (
     lex_order,
     make_order,
     reverse_order,
+    rtilde_by_paths,
 )
 
-from helpers import comparable_pairs, down_set_masks, mask_bits, random_functional_order
+from helpers import (
+    comparable_pairs,
+    down_set_masks,
+    draw_comparable_pair,
+    mask_bits,
+    random_functional_order,
+)
 
 
 def brute_force_diamonds(iv):
@@ -131,20 +140,20 @@ def test_diamond_flip_reports_missing_completion():
 
 def test_diamond_closure_examples():
     iv = build_interval(identity(3), longest_element(3))
-    full = frozenset(range(iv.size))
+    full = (1 << iv.size) - 1
     assert diamond_closure(iv, full) == full
-    assert diamond_closure(iv, {0}) == frozenset({0})
+    assert diamond_closure(iv, 1) == 1
     # three vertices of a diamond pull in the fourth (and then close up)
-    seed = {0, iv.index[(2, 1, 3)], iv.index[(1, 3, 2)]}
+    seed = 1 | 1 << iv.index[(2, 1, 3)] | 1 << iv.index[(1, 3, 2)]
     closed = diamond_closure(iv, seed)
-    assert iv.index[(2, 3, 1)] in closed and iv.index[(3, 1, 2)] in closed
+    assert closed >> iv.index[(2, 3, 1)] & 1 and closed >> iv.index[(3, 1, 2)] & 1
 
 
 def test_is_diamond_closed_examples():
     iv = build_interval(identity(3), longest_element(3))
-    assert is_diamond_closed(iv, range(iv.size))
+    assert is_diamond_closed(iv, (1 << iv.size) - 1)
     assert not is_diamond_closed(
-        iv, {0, iv.index[(2, 1, 3)], iv.index[(1, 3, 2)]}
+        iv, 1 | 1 << iv.index[(2, 1, 3)] | 1 << iv.index[(1, 3, 2)]
     )
 
 
@@ -169,11 +178,11 @@ def test_reflection_subgroup_cosets_are_diamond_closed():
                 parent[ra] = rb
         u, v = comparable_pairs(4)[rng.randrange(len(comparable_pairs(4)))]
         iv = build_interval(u, v)
-        coset = [
-            i
+        coset = sum(
+            1 << i
             for i, x in enumerate(iv.elements)
             if all(find(k) == find(compose(x, inverse(u))[k - 1]) for k in range(1, 5))
-        ]
+        )
         assert is_diamond_closed(iv, coset), (gens, u, v)
 
 
@@ -183,40 +192,39 @@ def test_lemma_dc_of_atoms_recovers_ideal_s4():
     # interval of S_4
     for u, v in comparable_pairs(4):
         iv = build_interval(u, v)
-        atom_ids = {j for j, _ in atom_indices(iv)}
+        atom_mask = sum(1 << j for j, _ in atom_indices(iv))
         for mask in down_set_masks(iv):
             if not mask:
                 continue
-            members = set(mask_bits(mask))
-            if not is_diamond_closed(iv, members):
+            if not is_diamond_closed(iv, mask):
                 continue
-            seed = {0} | (atom_ids & members)
-            assert diamond_closure(iv, seed) == frozenset(members), (u, v, members)
+            seed = 1 | (atom_mask & mask)
+            assert diamond_closure(iv, seed) == mask, (u, v, mask)
 
 
 def test_build_cluster_trivial_and_hypercube():
     iv = build_interval((1, 2, 3), (2, 1, 3))
     # ideal is everything: empty frontier
-    cl = build_cluster(iv, {0, 1}, 1)
-    assert cl.frontier == () and cl.images == {frozenset(): 1}
+    cl = build_cluster(iv, 0b11, 1)
+    assert cl.frontier == 0 and cl.images == {0: 1}
 
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
-    cl = build_cluster(ivh, {0}, 0)
-    assert len(cl.frontier) == 4
+    cl = build_cluster(ivh, 1, 0)
+    assert cl.frontier.bit_count() == 4
     assert len(cl.images) == 16  # every subset of the atoms is an antichain
-    assert cl.images[frozenset(cl.frontier)] == ivh.size - 1
+    assert cl.images[cl.frontier] == ivh.size - 1
 
 
 def test_build_cluster_failure_modes():
     iv = build_interval(identity(3), longest_element(3))
     with pytest.raises(ClusterError) as err:
-        build_cluster(iv, {0}, 0)
+        build_cluster(iv, 1, 0)
     assert err.value.reason == "ambiguous completion"
     with pytest.raises(ValueError):
-        build_cluster(iv, {0, 1}, 0)  # {123, 132} is fine, but x must be inside
-        build_cluster(iv, {0, 1}, 3)
+        build_cluster(iv, 0b11, 0)  # {123, 132} is fine, but x must be inside
+        build_cluster(iv, 0b11, 3)
     with pytest.raises(ValueError):
-        build_cluster(iv, {0, iv.size - 1}, 0)  # not a lower set
+        build_cluster(iv, 1 | 1 << (iv.size - 1), 0)  # not a lower set
 
 
 def test_is_strong_hcd_examples():
@@ -253,14 +261,14 @@ def test_standard_hcd_examples():
 
     iv = build_interval(identity(3), longest_element(3))
     hcd = standard_hcd(iv)
-    assert {format_perm(iv.elements[i]) for i in hcd.ideal} == {"123", "132"}
+    assert {format_perm(iv.elements[i]) for i in mask_bits(hcd.ideal)} == {"123", "132"}
     assert hcd.proper
 
     # length-one interval: ideal {u}, single cluster with frontier {v}
     iv1 = build_interval((1, 2, 3), (2, 1, 3))
     hcd1 = standard_hcd(iv1)
-    assert hcd1.ideal == frozenset({0})
-    assert hcd1.clusters[0].frontier == (1,)
+    assert hcd1.ideal == 1
+    assert hcd1.clusters[0].frontier == 0b10
     assert htilde(iv1, hcd1) == (0, 1)
 
     with pytest.raises(ValueError):
@@ -272,7 +280,7 @@ def test_standard_ideal_of_strict_inequality_interval():
     iv = build_interval(u, v)
     hcd = standard_hcd(iv)
     # the ideal fixes the position of the value 1; it is NOT [u, 612345]
-    assert all(iv.elements[i][0] == 1 for i in hcd.ideal)
+    assert all(iv.elements[i][0] == 1 for i in mask_bits(hcd.ideal))
     assert iv.elements[hcd.z] != (6, 1, 2, 3, 4, 5)
     assert htilde(iv, hcd) == rtilde_from_r(u, v)
 
@@ -287,7 +295,7 @@ def test_standard_hcd_with_nontrivial_standardization():
         hcd = standard_hcd(iv)
         d = first_disagreement(u, v)
         pos = inverse(u)[d - 1]
-        assert all(inverse(iv.elements[i])[d - 1] == pos for i in hcd.ideal)
+        assert all(inverse(iv.elements[i])[d - 1] == pos for i in mask_bits(hcd.ideal))
         assert htilde(iv, hcd) == rtilde_from_r(u, v)
 
 
@@ -310,7 +318,17 @@ def test_standard_hcd_proper_on_all_s4():
         if u != v:
             iv = build_interval(u, v)
             hcd = standard_hcd(iv)
-            assert len(hcd.ideal) < iv.size
+            assert hcd.ideal.bit_count() < iv.size
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_standard_htilde_equals_paths_rtilde_s6_s7(data):
+    # H~ of the standard decomposition against increasing lex-order paths
+    u, v = draw_comparable_pair(data, 6)
+    assume(u != v)
+    iv = build_interval(u, v)
+    assert htilde(iv, standard_hcd(iv)) == rtilde_by_paths(iv, lex_order(len(u))), (u, v)
 
 
 def test_htilde_spot_values():
@@ -328,12 +346,12 @@ def test_is_simple_examples():
 
 def test_coset_ideal_form_examples():
     iv = build_interval(identity(3), longest_element(3))
-    assert coset_ideal_form(iv, {0}) == ((1,), (2,), (3,))
+    assert coset_ideal_form(iv, 1) == ((1,), (2,), (3,))
     hcd = standard_hcd(iv)
     blocks = coset_ideal_form(iv, hcd.ideal)
     assert blocks == ((1,), (2, 3))
     with pytest.raises(ValueError):
-        coset_ideal_form(build_interval((1, 3, 2, 4), (4, 2, 3, 1)), {0})
+        coset_ideal_form(build_interval((1, 3, 2, 4), (4, 2, 3, 1)), 1)
 
 
 def test_coset_form_of_every_dc_ideal_in_simple_s4_intervals():
@@ -344,9 +362,8 @@ def test_coset_form_of_every_dc_ideal_in_simple_s4_intervals():
         for mask in down_set_masks(iv):
             if not mask:
                 continue
-            members = sorted(mask_bits(mask))
-            if is_diamond_closed(iv, members):
-                coset_ideal_form(iv, members)  # raises on verification failure
+            if is_diamond_closed(iv, mask):
+                coset_ideal_form(iv, mask)  # raises on verification failure
 
 
 def test_special_matchings_examples():
@@ -371,6 +388,15 @@ def test_special_matchings_examples():
                 assert m[a] != m[b] and iv3.leq(m[a], m[b])
 
 
+def test_deep_searches_need_no_recursion_s7():
+    # 4,128 elements: a search that recursed once per matched element would
+    # exceed the interpreter's recursion limit
+    iv = build_interval((1, 3, 2, 4, 5, 7, 6), longest_element(7))
+    assert iv.size == 4128
+    assert len(special_matchings(iv)) == 8
+    assert poset_isomorphic(iv.poset, iv.poset) is not None
+
+
 def test_no_special_matching_interval():
     iv = build_interval((2, 1, 3, 5, 4), (5, 2, 3, 4, 1))
     assert is_simple(iv)
@@ -391,13 +417,13 @@ def test_unique_increasing_chain_in_cluster_hypercubes():
         hcd = standard_hcd(iv)
         for x, cl in hcd.clusters.items():
             for Y in cl.images:
-                if len(Y) < 2:
+                if Y.bit_count() < 2:
                     continue
                 for order in orders:
                     pos = order.position
                     increasing = 0
-                    for perm in itertools.permutations(sorted(Y)):
-                        chain = [frozenset(perm[:k]) for k in range(len(perm) + 1)]
+                    for perm in itertools.permutations(mask_bits(Y)):
+                        chain = [sum(1 << y for y in perm[:k]) for k in range(len(perm) + 1)]
                         seq = [
                             pos[labels[(cl.images[a], cl.images[b])]]
                             for a, b in zip(chain, chain[1:])
@@ -421,7 +447,7 @@ def test_transport_of_decompositions_under_isomorphism():
         for x, cl in chk_p.decomposition.clusters.items():
             cl_q = chk_q.decomposition.clusters[mapping[x]]
             transported = {
-                frozenset(mapping[y] for y in ys): mapping[img]
+                sum(1 << mapping[y] for y in mask_bits(ys)): mapping[img]
                 for ys, img in cl.images.items()
             }
             assert transported == cl_q.images

@@ -1,7 +1,11 @@
+import itertools
 import json
+import random
 
+import networkx as nx
 import pytest
 
+from bruhat_hypercubes import intervals
 from bruhat_hypercubes.errors import EmptyIntervalError
 from bruhat_hypercubes.intervals import (
     atoms,
@@ -93,6 +97,13 @@ def test_interval_is_complete_against_brute_force_order():
             assert iv.bruhat_edges == tuple((i, j, t) for i, t, j in want), (u, v)
 
 
+def test_comparable_pairs_are_read_off_the_group_interval():
+    # the down-masks of [e, w0] against bruhat_leq over all pairs
+    for n in range(2, 6):
+        assert intervals.comparable_pairs(n) == comparable_pairs(n), n
+    assert len(intervals.comparable_pairs(6)) == 98407
+
+
 def test_unique_min_max_and_chain_connectivity():
     for u, v in comparable_pairs(4)[::7]:
         iv = build_interval(u, v)
@@ -144,6 +155,39 @@ def test_poset_isomorphic_examples():
 
     small = build_interval(identity(3), longest_element(3))
     assert poset_isomorphic(small.poset, p.poset) is None
+
+
+def _hasse_digraph(iv):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(iv.size))
+    g.add_edges_from(iv.hasse_edges)
+    return g
+
+
+def test_poset_isomorphic_against_networkx():
+    # every equal-size pair of S_4 intervals, then every pair with equal size
+    # and Hasse edge count among 300 seeded S_5 intervals; a poset
+    # isomorphism is a directed isomorphism of the Hasse diagrams
+    pairs = [
+        (p, q)
+        for p, q in itertools.combinations(
+            [build_interval(u, v) for u, v in comparable_pairs(4)], 2
+        )
+        if p.size == q.size
+    ]
+    rng = random.Random(41)
+    groups: dict = {}
+    for u, v in rng.sample(comparable_pairs(5), 300):
+        iv = build_interval(u, v)
+        groups.setdefault((iv.size, len(iv.hasse_edges)), []).append(iv)
+    pairs += [pq for ivs in groups.values() for pq in itertools.combinations(ivs, 2)]
+    found = {True: 0, False: 0}
+    for p, q in pairs:
+        want = nx.is_isomorphic(_hasse_digraph(p), _hasse_digraph(q))
+        got = poset_isomorphic(p.poset, q.poset) is not None
+        assert got == want, (p.bottom, p.top, q.bottom, q.top)
+        found[want] += 1
+    assert found[True] > 1000 and found[False] > 50, found
 
 
 def test_isomorphism_carries_unlabelled_bruhat_graph_s4():

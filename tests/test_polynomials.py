@@ -8,14 +8,11 @@ from bruhat_hypercubes.errors import InvariantViolation
 from bruhat_hypercubes.intervals import build_interval
 from bruhat_hypercubes.perms import (
     all_perms,
-    apply_reflection,
     bruhat_leq,
     descents,
     identity,
     length,
     longest_element,
-    reflection_length_delta,
-    reflections,
     right_transposition,
 )
 from bruhat_hypercubes.polynomials import (
@@ -40,6 +37,7 @@ from bruhat_hypercubes.reflection_orders import rtilde_by_paths
 
 from helpers import (
     comparable_pairs,
+    draw_comparable_pair,
     oracle_kl,
     oracle_r,
     r_from_rtilde,
@@ -204,26 +202,10 @@ def test_substitution_identity_both_ways_s4():
             assert r_from_rtilde(rtilde_from_r(u, v), ell) == r_poly(u, v), (u, v)
 
 
-def _comparable_pair(data, max_length):
-    """A comparable pair u <= v of S_6 or S_7 with l(v) - l(u) <= max_length,
-    reached from a random v by a random walk down Bruhat covers."""
-    n = data.draw(st.sampled_from((6, 7)))
-    v = tuple(data.draw(st.permutations(range(1, n + 1))))
-    u = v
-    for _ in range(data.draw(st.integers(0, max_length))):
-        covers = [
-            t for t in reflections(n) if reflection_length_delta(t, u) == -1
-        ]
-        if not covers:
-            break
-        u = apply_reflection(data.draw(st.sampled_from(covers)), u)
-    return u, v
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_rtilde_against_r_and_paths_s6_s7(data):
-    u, v = _comparable_pair(data, 8)
+    u, v = draw_comparable_pair(data, 8)
     rt = rtilde_from_r(u, v)
     assert r_from_rtilde(rt, length(v) - length(u)) == r_poly(u, v)
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
@@ -234,5 +216,5 @@ def test_rtilde_against_r_and_paths_s6_s7(data):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_kl_poly_against_linear_oracle_s6_s7(data):
-    u, v = _comparable_pair(data, 5)
+    u, v = draw_comparable_pair(data, 5)
     assert kl_poly(u, v) == oracle_kl(u, v), (u, v)
