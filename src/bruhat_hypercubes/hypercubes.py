@@ -49,14 +49,11 @@ class Diamond(NamedTuple):
 def enumerate_diamonds(iv: BruhatInterval) -> list[Diamond]:
     """All diamonds of the Bruhat graph, each once, with x2 < x3 by index."""
     out = []
-    for x1 in range(iv.size):
-        targets = [j for j, _ in iv.out_edges[x1]]
-        targets.sort()
-        for a_idx in range(len(targets)):
-            x2 = targets[a_idx]
-            for b_idx in range(a_idx + 1, len(targets)):
-                x3 = targets[b_idx]
-                for x4 in bits(iv.out_mask[x2] & iv.out_mask[x3]):
+    out_mask = iv.out_mask
+    for x1, targets in enumerate(out_mask):
+        for x2 in bits(targets):
+            for x3 in bits(targets >> (x2 + 1) << (x2 + 1)):
+                for x4 in bits(out_mask[x2] & out_mask[x3]):
                     out.append(Diamond(x1, x2, x3, x4))
     return out
 
@@ -145,9 +142,9 @@ def _antichain_masks(incomp: dict[int, int]) -> list[int]:
     return out
 
 
-def build_cluster(iv: BruhatInterval, ideal: int, x: int) -> HypercubeCluster:
-    """Construct the strong hypercube cluster at x relative to a lower ideal,
-    or raise ClusterError when none exists.
+def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
+    """Construct the strong hypercube cluster at x relative to the ideal
+    [u, z], or raise ClusterError when none exists.
 
     Singletons are forced; each larger antichain is completed through every
     pair of its elements and all completions must exist, agree, and be
@@ -156,11 +153,11 @@ def build_cluster(iv: BruhatInterval, ideal: int, x: int) -> HypercubeCluster:
     must land on theta of their union, and must not exist at all when that
     union is not an antichain.
     """
+    if not 0 <= z < iv.size:
+        raise ValueError(f"z = {z} is not an element index of the interval")
+    ideal = iv.down_mask[z]
     if not ideal >> x & 1:
-        raise ValueError("x must belong to the ideal")
-    for e in bits(ideal):
-        if iv.down_mask[e] & ~ideal:
-            raise ValueError("ideal is not a lower set of the interval")
+        raise ValueError("x must belong to [u, z]")
 
     frontier = iv.out_mask[x] & ~ideal
     incomp = {
@@ -279,7 +276,7 @@ def check_strong_hcd(iv: BruhatInterval, z: int) -> HcdCheck:
     clusters: dict[int, HypercubeCluster] = {}
     for x in bits(ideal):
         try:
-            clusters[x] = build_cluster(iv, ideal, x)
+            clusters[x] = build_cluster(iv, z, x)
         except ClusterError as err:
             return HcdCheck(
                 False,
@@ -346,13 +343,10 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
     p = u.index(d) + 1  # position of the value d, fixed across the ideal
     ideal = sum(1 << i for i, x in enumerate(iv.elements) if x[p - 1] == d)
 
-    maxima = [i for i in bits(ideal) if not (iv.up_mask[i] & ideal & ~(1 << i))]
-    if len(maxima) != 1:
-        raise InvariantViolation("standard ideal is not a lower interval")
-    z = maxima[0]
+    z = ideal.bit_length() - 1  # the top of the ideal, if it is [u, z]
     if iv.down_mask[z] != ideal:
-        raise InvariantViolation("standard ideal differs from [u, z]")
-    if ideal == (1 << iv.size) - 1:
+        raise InvariantViolation("standard ideal is not a lower interval [u, z]")
+    if z == iv.size - 1:
         raise InvariantViolation("standard ideal must be proper")
 
     clusters: dict[int, HypercubeCluster] = {}
@@ -394,8 +388,6 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
             f"standard decomposition failed {verdict.failed_axiom}: {verdict.reason}"
         )
     rebuilt = verdict.decomposition
-    if rebuilt.ideal != ideal:
-        raise InvariantViolation("standard ideal disagrees with [u, z]")
     for i in bits(ideal):
         if rebuilt.clusters[i].images != clusters[i].images:
             raise InvariantViolation(

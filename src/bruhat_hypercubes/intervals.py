@@ -13,8 +13,8 @@ is read off the interval [e, w0].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 from .errors import EmptyIntervalError, InvariantViolation
 from .perms import (
@@ -39,8 +39,10 @@ class BruhatInterval:
     """The interval [u, v] with its Hasse diagram and Bruhat graph.
 
     Immutable by convention after construction; build with build_interval.
-    up_mask[i] / down_mask[i] are bitmasks of {j : x_i <= x_j} and
-    {j : x_j <= x_i}; out_mask[i] is the bitmask of Bruhat-edge targets of i.
+    out_edges[i] lists the Bruhat edges i -> j as (j, label), by label, and
+    is the interval's one labelled edge list.  up_mask[i] / down_mask[i] are
+    bitmasks of {j : x_i <= x_j} and {j : x_j <= x_i}; out_mask[i] is the
+    bitmask of Bruhat-edge targets of i.
     """
 
     bottom: Perm
@@ -49,9 +51,7 @@ class BruhatInterval:
     index: dict[Perm, int]
     rank: tuple[int, ...]
     hasse_edges: tuple[tuple[int, int], ...]
-    bruhat_edges: tuple[tuple[int, int, Reflection], ...]
     out_edges: tuple[tuple[tuple[int, Reflection], ...], ...]
-    in_edges: tuple[tuple[tuple[int, Reflection], ...], ...]
     out_mask: tuple[int, ...]
     up_mask: tuple[int, ...]
     down_mask: tuple[int, ...]
@@ -129,18 +129,14 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
     edges = sorted((index[y], t, index[x], delta) for y, x, t, delta in scanned)
 
     hasse: list[tuple[int, int]] = []
-    bruhat: list[tuple[int, int, Reflection]] = []
     out_edges: list[list[tuple[int, Reflection]]] = [[] for _ in range(m)]
-    in_edges: list[list[tuple[int, Reflection]]] = [[] for _ in range(m)]
     out_mask = [0] * m
     up_mask = [1 << i for i in range(m)]
     down_mask = list(up_mask)
     # transitive closure along covers: the edges run by lower end, so every
     # mask is complete before it is read
     for i, t, j, delta in edges:
-        bruhat.append((i, j, t))
         out_edges[i].append((j, t))
-        in_edges[j].append((i, t))
         out_mask[i] |= 1 << j
         if delta == -1:
             hasse.append((i, j))
@@ -155,22 +151,22 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
         index=index,
         rank=rank,
         hasse_edges=tuple(hasse),
-        bruhat_edges=tuple(bruhat),
         out_edges=tuple(tuple(es) for es in out_edges),
-        in_edges=tuple(tuple(es) for es in in_edges),
         out_mask=tuple(out_mask),
         up_mask=tuple(up_mask),
         down_mask=tuple(down_mask),
     )
 
 
-@lru_cache(maxsize=None)
-def comparable_pairs(n: int) -> tuple[tuple[Perm, Perm], ...]:
+def comparable_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
     """All pairs u <= v in S_n, sorted by (length(v), v, u): the down-masks
-    of [e, w0], read in index order."""
+    of [e, w0], read in index order.
+
+    [e, w0] is built at the call; the pairs are then streamed, never held.
+    """
     group = build_interval(identity(n), longest_element(n))
     w = group.elements
-    return tuple((w[i], v) for j, v in enumerate(w) for i in bits(group.down_mask[j]))
+    return ((w[i], v) for j, v in enumerate(w) for i in bits(group.down_mask[j]))
 
 
 def atom_indices(iv: BruhatInterval) -> tuple[tuple[int, Reflection], ...]:
@@ -316,7 +312,9 @@ def interval_to_json(iv: BruhatInterval) -> dict:
         "v": format_perm(iv.top),
         "elements": [format_perm(x) for x in iv.elements],
         "hasse_edges": [[i, j] for i, j in iv.hasse_edges],
-        "bruhat_edges": [[i, j, [t[0], t[1]]] for i, j, t in iv.bruhat_edges],
+        "bruhat_edges": [
+            [i, j, [t[0], t[1]]] for i, es in enumerate(iv.out_edges) for j, t in es
+        ],
     }
 
 

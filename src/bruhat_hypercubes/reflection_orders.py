@@ -262,6 +262,11 @@ def check_E_properties(iv: BruhatInterval, mask: int, order: ReflectionOrder) ->
         if iv.down_mask[x] & ~mask:
             raise ValueError("ideal is not a lower set of the interval")
     pos = order.position
+    # every edge into a member of the lower set I starts inside I
+    in_max = [-1] * iv.size
+    for y in bits(mask):
+        for x, t in iv.out_edges[y]:
+            in_max[x] = max(in_max[x], pos[t])
 
     e1 = e2 = True
     internal_max = -1
@@ -269,12 +274,11 @@ def check_E_properties(iv: BruhatInterval, mask: int, order: ReflectionOrder) ->
     for x in bits(mask):
         out_in = [pos[t] for y, t in iv.out_edges[x] if mask >> y & 1]
         out_leaving = [pos[t] for y, t in iv.out_edges[x] if not mask >> y & 1]
-        incoming = [pos[t] for y, t in iv.in_edges[x]]
         if out_leaving:
             lead = min(out_leaving)
             if out_in and max(out_in) >= lead:
                 e1 = False
-            if incoming and max(incoming) >= lead:
+            if in_max[x] >= lead:
                 e2 = False
             leaving_min = min(leaving_min, lead)
         if out_in:

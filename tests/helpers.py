@@ -9,14 +9,18 @@ different routes.
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import bruhat_hypercubes
 from bruhat_hypercubes.intervals import BruhatInterval, build_interval
 from bruhat_hypercubes.perms import (
     Perm,
+    Reflection,
     all_perms,
     apply_reflection,
     bruhat_leq,
@@ -205,6 +209,17 @@ def _solve_exact(rows, rhs):
     for ridx, c in enumerate(pivots):
         out[c] = aug[ridx][-1]
     return out
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a child Python that imports this package."""
+    return {**os.environ, "PYTHONPATH": str(Path(bruhat_hypercubes.__file__).parents[1])}
+
+
+def bruhat_edges(iv: BruhatInterval) -> tuple[tuple[int, int, Reflection], ...]:
+    """The labelled Bruhat edges (i, j, t) of an interval, in (lower end,
+    label) order, read off its one edge list ``out_edges``."""
+    return tuple((i, j, t) for i, es in enumerate(iv.out_edges) for j, t in es)
 
 
 @lru_cache(maxsize=None)

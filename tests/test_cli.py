@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from bruhat_hypercubes import cli
+from bruhat_hypercubes.perms import format_perm
+
+from helpers import comparable_pairs, subprocess_env
 
 
 def run(capsys, *argv):
@@ -178,6 +183,39 @@ def test_verify_shards_partition_the_work(capsys):
         cli.build_parser().parse_args(["verify", "3", "--shard"])
     code, _, err = run(capsys, "verify", "3", "--shard", "5/3")
     assert code == 1
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 3), (3, 3), (5, 7), (7, 7)])
+def test_verify_shard_is_an_exact_stride_slice(capsys, k, m):
+    # shard K/M reports pairs K-1, K-1+M, ... of the (length(v), v, u) order
+    code, out, _ = run(capsys, "verify", "4", "--shard", f"{k}/{m}", "--json")
+    assert code == 0
+    *lines, last = (json.loads(line) for line in out.strip().splitlines())
+    want = [(format_perm(u), format_perm(v)) for u, v in comparable_pairs(4)[k - 1 :: m]]
+    assert [(r["u"], r["v"]) for r in lines] == want
+    assert last["summary"]["intervals"] == len(want)
+
+
+def test_verify_7_shard_does_not_hold_the_order_of_s7():
+    # a shard streams the 3,550,919 pairs of S_7 instead of holding them;
+    # held as a tuple, they alone take about 290 MB
+    script = (
+        "import resource, sys\n"
+        "from bruhat_hypercubes import cli\n"
+        "code = cli.main(['verify', '7', '--shard', '1/400000', '--json'])\n"
+        "sys.stdout.flush()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert sum("summary" not in obj for obj in lines) == 9
+    assert lines[-1]["summary"]["intervals"] == 9
+    peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 150, peak_mb
 
 
 def test_verify_refuses_sharded_iso_classes(capsys):

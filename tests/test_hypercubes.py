@@ -55,6 +55,7 @@ from bruhat_hypercubes.reflection_orders import (
 )
 
 from helpers import (
+    bruhat_edges,
     comparable_pairs,
     down_set_masks,
     draw_comparable_pair,
@@ -205,11 +206,11 @@ def test_lemma_dc_of_atoms_recovers_ideal_s4():
 def test_build_cluster_trivial_and_hypercube():
     iv = build_interval((1, 2, 3), (2, 1, 3))
     # ideal is everything: empty frontier
-    cl = build_cluster(iv, 0b11, 1)
+    cl = build_cluster(iv, 1, 1)
     assert cl.frontier == 0 and cl.images == {0: 1}
 
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
-    cl = build_cluster(ivh, 1, 0)
+    cl = build_cluster(ivh, 0, 0)
     assert cl.frontier.bit_count() == 4
     assert len(cl.images) == 16  # every subset of the atoms is an antichain
     assert cl.images[cl.frontier] == ivh.size - 1
@@ -218,13 +219,16 @@ def test_build_cluster_trivial_and_hypercube():
 def test_build_cluster_failure_modes():
     iv = build_interval(identity(3), longest_element(3))
     with pytest.raises(ClusterError) as err:
-        build_cluster(iv, 1, 0)
+        build_cluster(iv, 0, 0)
     assert err.value.reason == "ambiguous completion"
+    z = iv.index[(1, 3, 2)]  # [u, z] = {123, 132}
+    assert build_cluster(iv, z, 0).base == 0
     with pytest.raises(ValueError):
-        build_cluster(iv, 0b11, 0)  # {123, 132} is fine, but x must be inside
-        build_cluster(iv, 0b11, 3)
+        build_cluster(iv, z, iv.index[(2, 3, 1)])  # x outside [u, z]
     with pytest.raises(ValueError):
-        build_cluster(iv, 1 | 1 << (iv.size - 1), 0)  # not a lower set
+        build_cluster(iv, iv.size, 0)  # z out of range
+    with pytest.raises(ValueError):
+        build_cluster(iv, -1, 0)  # no wrap-around to the top
 
 
 def test_is_strong_hcd_examples():
@@ -413,7 +417,7 @@ def test_unique_increasing_chain_in_cluster_hypercubes():
         if u == v:
             continue
         iv = build_interval(u, v)
-        labels = {(i, j): t for i, j, t in iv.bruhat_edges}
+        labels = {(i, j): t for i, j, t in bruhat_edges(iv)}
         hcd = standard_hcd(iv)
         for x, cl in hcd.clusters.items():
             for Y in cl.images:

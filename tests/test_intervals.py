@@ -25,13 +25,13 @@ from bruhat_hypercubes.perms import (
     root_of,
 )
 
-from helpers import brute_length, comparable_pairs, reachability_leq
+from helpers import bruhat_edges, brute_length, comparable_pairs, reachability_leq
 
 
 def test_single_element_interval():
     iv = build_interval((2, 1, 3), (2, 1, 3))
     assert iv.size == 1
-    assert iv.hasse_edges == () and iv.bruhat_edges == ()
+    assert iv.hasse_edges == () and bruhat_edges(iv) == ()
     assert atoms(iv) == ()
 
 
@@ -67,7 +67,7 @@ def test_interval_contents_and_edges_s4():
         for i, x in enumerate(iv.elements):
             assert iv.rank[i] == length(x) - base
         hasse = set(iv.hasse_edges)
-        for i, j, t in iv.bruhat_edges:
+        for i, j, t in bruhat_edges(iv):
             assert iv.elements[j] == apply_reflection(t, iv.elements[i])
             assert iv.rank[i] < iv.rank[j]
             if iv.rank[j] == iv.rank[i] + 1:
@@ -94,14 +94,14 @@ def test_interval_is_complete_against_brute_force_order():
                 for y in [apply_reflection(t, x)]
                 if y in members and brute_length(y) > brute_length(x)
             )
-            assert iv.bruhat_edges == tuple((i, j, t) for i, t, j in want), (u, v)
+            assert bruhat_edges(iv) == tuple((i, j, t) for i, t, j in want), (u, v)
 
 
 def test_comparable_pairs_are_read_off_the_group_interval():
     # the down-masks of [e, w0] against bruhat_leq over all pairs
     for n in range(2, 6):
-        assert intervals.comparable_pairs(n) == comparable_pairs(n), n
-    assert len(intervals.comparable_pairs(6)) == 98407
+        assert tuple(intervals.comparable_pairs(n)) == comparable_pairs(n), n
+    assert len(tuple(intervals.comparable_pairs(6))) == 98407
 
 
 def test_unique_min_max_and_chain_connectivity():
@@ -202,11 +202,11 @@ def test_isomorphism_carries_unlabelled_bruhat_graph_s4():
     checked = 0
     for members in groups.values():
         rep = members[0]
-        rep_edges = {(i, j) for i, j, _ in rep.bruhat_edges}
+        rep_edges = {(i, j) for i, j, _ in bruhat_edges(rep)}
         for other in members[1:]:
             mapping = poset_isomorphic(rep.poset, other.poset)
             assert mapping is not None
-            other_edges = {(i, j) for i, j, _ in other.bruhat_edges}
+            other_edges = {(i, j) for i, j, _ in bruhat_edges(other)}
             assert {(mapping[i], mapping[j]) for i, j in rep_edges} == other_edges
             checked += 1
     assert checked > 50
@@ -219,6 +219,6 @@ def test_interval_json_roundtrip():
     assert json.dumps(json.loads(text), sort_keys=True) == text
     rebuilt = interval_from_json(json.loads(text))
     assert rebuilt.elements == iv.elements
-    assert rebuilt.bruhat_edges == iv.bruhat_edges
+    assert bruhat_edges(rebuilt) == bruhat_edges(iv)
     with pytest.raises(ValueError):
         interval_from_json({**payload, "elements": payload["elements"][::-1]})

@@ -28,7 +28,12 @@ from bruhat_hypercubes.reflection_orders import (
     validate_reflection_order,
 )
 
-from helpers import comparable_pairs, naive_increasing_paths, random_functional_order
+from helpers import (
+    bruhat_edges,
+    comparable_pairs,
+    naive_increasing_paths,
+    random_functional_order,
+)
 
 
 def all_valid_orders(n):
@@ -185,6 +190,33 @@ def test_check_E_requires_lower_set():
         check_E_properties(iv, top_only, lex_order(3))
 
 
+def test_check_E_properties_against_edge_scan_s4():
+    # E1, E2 and E read straight off the labelled edge list, for every
+    # lower interval [u, z] of every third S_4 interval under three orders
+    rng = random.Random(5)
+    orders = [lex_order(4), reverse_order(lex_order(4)), random_functional_order(4, rng)]
+    e2_values = set()
+    for u, v in comparable_pairs(4)[::3]:
+        iv = build_interval(u, v)
+        edges = bruhat_edges(iv)
+        for z in range(iv.size):
+            ideal = iv.down_mask[z]
+            for order in orders:
+                pos = order.position
+                lead: dict[int, int] = {}  # x in I -> smallest label leaving I
+                for i, j, t in edges:
+                    if ideal >> i & 1 and not ideal >> j & 1:
+                        lead[i] = min(lead.get(i, pos[t]), pos[t])
+                internal = [(i, j, pos[t]) for i, j, t in edges if ideal >> j & 1]
+                e1 = all(p < lead[i] for i, _, p in internal if i in lead)
+                e2 = all(p < lead[j] for _, j, p in internal if j in lead)
+                e = not lead or all(p < min(lead.values()) for _, _, p in internal)
+                flags = check_E_properties(iv, ideal, order)
+                assert (flags.e1, flags.e2, flags.e) == (e1, e2, e), (u, v, z)
+                e2_values.add(e2)
+    assert e2_values == {True, False}
+
+
 def test_standard_order_satisfies_E_on_standard_ideal():
     from bruhat_hypercubes.hypercubes import first_disagreement
 
@@ -217,7 +249,7 @@ def test_diamond_flip_order_law_s4():
         random_functional_order(4, rng) for _ in range(3)
     ]
     iv = build_interval(identity(4), longest_element(4))
-    labels = {(i, j): t for i, j, t in iv.bruhat_edges}
+    labels = {(i, j): t for i, j, t in bruhat_edges(iv)}
     diamonds = enumerate_diamonds(iv)
     assert diamonds
     for x1, x2, x3, x4 in diamonds:

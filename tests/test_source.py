@@ -1,9 +1,11 @@
 """Checks on the library source itself."""
 
 import ast
+import doctest
 from pathlib import Path
 
 import bruhat_hypercubes
+from bruhat_hypercubes import perms
 
 SRC = Path(bruhat_hypercubes.__file__).parent
 
@@ -18,3 +20,9 @@ def test_no_assert_statements_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_perms_doctests_pass():
+    # the examples in the perms docstrings are executable documentation
+    result = doctest.testmod(perms)
+    assert result.attempted == 7 and result.failed == 0
