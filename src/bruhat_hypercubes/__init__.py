@@ -4,7 +4,6 @@ strong hypercube decompositions, and the H-tilde polynomial."""
 
 from .errors import (
     ClusterError,
-    DiamondFlipError,
     EmptyIntervalError,
     InvariantViolation,
 )
@@ -16,13 +15,11 @@ from .hypercubes import (
     check_strong_hcd,
     coset_ideal_form,
     diamond_closure,
-    diamond_flip,
     enumerate_diamonds,
     first_disagreement,
     htilde,
     is_diamond_closed,
     is_simple,
-    is_strong_hcd,
     special_matchings,
     standard_hcd,
 )
@@ -31,7 +28,6 @@ from .intervals import (
     BruhatInterval,
     atoms,
     build_interval,
-    interval_from_json,
     interval_to_json,
     poset_isomorphic,
 )

@@ -310,7 +310,7 @@ def cmd_hcd(args) -> int:
 
 
 def _parse_shard(text: Optional[str]) -> tuple[int, int]:
-    if not text:
+    if text is None:
         return (1, 1)
     try:
         k_str, m_str = text.split("/")

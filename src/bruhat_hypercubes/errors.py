@@ -5,10 +5,6 @@ class EmptyIntervalError(ValueError):
     """Raised when an interval [u, v] is requested but u is not <= v."""
 
 
-class DiamondFlipError(LookupError):
-    """Raised when a diamond flip has no completion inside the interval."""
-
-
 class ClusterError(Exception):
     """No strong hypercube cluster exists at the requested base element.
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import ClusterError, DiamondFlipError, InvariantViolation
+from .errors import ClusterError, InvariantViolation
 # build_interval is not called here: perfbench/tracing.py wraps this name
 from .intervals import BruhatInterval, atom_indices, bits, build_interval
 from .perms import (
@@ -56,30 +56,6 @@ def enumerate_diamonds(iv: BruhatInterval) -> list[Diamond]:
                 for x4 in bits(out_mask[x2] & out_mask[x3]):
                     out.append(Diamond(x1, x2, x3, x4))
     return out
-
-
-def diamond_flip(iv: BruhatInterval, x1: int, x2: int, x4: int) -> tuple[int, int, int]:
-    """The unique (x1, x3, x4) completing the edge pair x1 -> x2 -> x4 to a
-    diamond inside the interval.
-
-    The completing vertex always lies in [x1, x4], so for interval-induced
-    graphs the flip resolves; DiamondFlipError is raised defensively should
-    a (non-induced) subgraph ever be supplied.
-    """
-    if not iv.out_mask[x1] >> x2 & 1 or not iv.out_mask[x2] >> x4 & 1:
-        raise ValueError("x1 -> x2 -> x4 is not an edge pair of the interval")
-    candidates = [
-        x3
-        for x3 in bits(iv.out_mask[x1])
-        if x3 != x2 and iv.out_mask[x3] >> x4 & 1
-    ]
-    if not candidates:
-        raise DiamondFlipError(
-            f"no diamond completion of {x1} -> {x2} -> {x4} inside the interval"
-        )
-    if len(candidates) > 1:
-        raise InvariantViolation("diamond flip is not unique in the symmetric group")
-    return (x1, candidates[0], x4)
 
 
 def diamond_closure(iv: BruhatInterval, mask: int) -> int:
@@ -289,10 +265,6 @@ def check_strong_hcd(iv: BruhatInterval, z: int) -> HcdCheck:
             interval=iv, z=z, ideal=ideal, clusters=clusters
         ),
     )
-
-
-def is_strong_hcd(iv: BruhatInterval, z: int) -> bool:
-    return check_strong_hcd(iv, z).ok
 
 
 def htilde(iv: BruhatInterval, hcd: HypercubeDecomposition) -> QPoly:

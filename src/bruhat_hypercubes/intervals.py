@@ -1,13 +1,15 @@
 """
-Bruhat intervals [u, v]: element sets, Hasse diagrams, reflection-labelled
-Bruhat graphs, and abstract-poset isomorphism.
+Bruhat intervals [u, v]: element sets, Bruhat graphs, Hasse diagrams, and
+abstract-poset isomorphism.
 
 An interval is materialised in one downward scan of the reflections from v,
 which finds its elements and its Bruhat graph together.  Elements are
 referenced by dense integer indices, assigned in (rank, one-line notation)
 order, so index 0 is u and the last index is v.  Subsets of an interval are
-bitmasks (Python ints) over these indices.  The Bruhat order of all of S_n
-is read off the interval [e, w0].
+bitmasks (Python ints) over these indices, and so is the Bruhat graph: one
+mask of edge targets per element.  Edge labels and covers are not stored;
+they are read off the endpoints when asked for.  The Bruhat order of all of
+S_n is read off the interval [e, w0].
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .perms import (
     identity,
     length,
     longest_element,
-    parse_perm,
+    reflection_between,
     reflection_length_delta,
     reflections,
     root_of,
@@ -36,13 +38,13 @@ from .perms import (
 
 @dataclass(eq=False)
 class BruhatInterval:
-    """The interval [u, v] with its Hasse diagram and Bruhat graph.
+    """The interval [u, v] with its Bruhat graph and order.
 
     Immutable by convention after construction; build with build_interval.
-    out_edges[i] lists the Bruhat edges i -> j as (j, label), by label, and
-    is the interval's one labelled edge list.  up_mask[i] / down_mask[i] are
-    bitmasks of {j : x_i <= x_j} and {j : x_j <= x_i}; out_mask[i] is the
-    bitmask of Bruhat-edge targets of i.
+    out_mask[i] is the bitmask of Bruhat-edge targets of i, the interval's
+    one edge store: label(i, j) reads an edge's reflection off its endpoints,
+    and an edge is a cover when the rank rises by one.  up_mask[i] /
+    down_mask[i] are bitmasks of {j : x_i <= x_j} and {j : x_j <= x_i}.
     """
 
     bottom: Perm
@@ -50,8 +52,6 @@ class BruhatInterval:
     elements: tuple[Perm, ...]
     index: dict[Perm, int]
     rank: tuple[int, ...]
-    hasse_edges: tuple[tuple[int, int], ...]
-    out_edges: tuple[tuple[tuple[int, Reflection], ...], ...]
     out_mask: tuple[int, ...]
     up_mask: tuple[int, ...]
     down_mask: tuple[int, ...]
@@ -70,6 +70,21 @@ class BruhatInterval:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up_mask[i] >> j & 1)
+
+    def label(self, i: int, j: int) -> Reflection:
+        """The reflection t with x_j = t x_i: the label of the edge i -> j."""
+        return reflection_between(self.elements[i], self.elements[j])
+
+    @cached_property
+    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
+        """The covers (i, j), in (lower, upper) index order."""
+        rank = self.rank
+        return tuple(
+            (i, j)
+            for i, targets in enumerate(self.out_mask)
+            for j in bits(targets)
+            if rank[j] == rank[i] + 1
+        )
 
     @cached_property
     def diamonds(self):
@@ -97,7 +112,7 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
     Every element x found so far is expanded along each reflection t with
     l(t x) < l(x); y = t x belongs to the interval iff u <= y, a verdict
     taken once per y.  Every Bruhat edge y -> x of [u, v] is met exactly
-    once, at its upper end x, and is a cover when the length drops by one.
+    once, at its upper end x.
     """
     if not bruhat_leq(u, v):
         raise EmptyIntervalError(
@@ -107,7 +122,7 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
     base = length(u)
     ell = {v: length(v)}  # the length of every y reached, None unless u <= y
     found = [v]
-    scanned: list[tuple[Perm, Perm, Reflection, int]] = []
+    scanned: list[tuple[Perm, Perm]] = []
     for x in found:  # grows while it is scanned
         for t in T:
             delta = reflection_length_delta(t, x)
@@ -119,39 +134,31 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
                 if ell[y] is not None:
                     found.append(y)
             if ell[y] is not None:
-                scanned.append((y, x, t, delta))
+                scanned.append((y, x))
 
     elements = sorted(found, key=lambda x: (ell[x], x))
     index = {x: i for i, x in enumerate(elements)}
-    rank = tuple(ell[x] - base for x in elements)
     m = len(elements)
-    # (lower end, label) order: the order of an upward scan by index
-    edges = sorted((index[y], t, index[x], delta) for y, x, t, delta in scanned)
-
-    hasse: list[tuple[int, int]] = []
-    out_edges: list[list[tuple[int, Reflection]]] = [[] for _ in range(m)]
     out_mask = [0] * m
+    for y, x in scanned:
+        out_mask[index[y]] |= 1 << index[x]
+    # transitive closure along the edges, which rise in index: closing in
+    # index order reads only complete masks
     up_mask = [1 << i for i in range(m)]
     down_mask = list(up_mask)
-    # transitive closure along covers: the edges run by lower end, so every
-    # mask is complete before it is read
-    for i, t, j, delta in edges:
-        out_edges[i].append((j, t))
-        out_mask[i] |= 1 << j
-        if delta == -1:
-            hasse.append((i, j))
+    for i in range(m):
+        for j in bits(out_mask[i]):
             down_mask[j] |= down_mask[i]
-    for i, j in reversed(hasse):
-        up_mask[i] |= up_mask[j]
+    for i in reversed(range(m)):
+        for j in bits(out_mask[i]):
+            up_mask[i] |= up_mask[j]
 
     return BruhatInterval(
         bottom=u,
         top=v,
         elements=tuple(elements),
         index=index,
-        rank=rank,
-        hasse_edges=tuple(hasse),
-        out_edges=tuple(tuple(es) for es in out_edges),
+        rank=tuple(ell[x] - base for x in elements),
         out_mask=tuple(out_mask),
         up_mask=tuple(up_mask),
         down_mask=tuple(down_mask),
@@ -170,8 +177,8 @@ def comparable_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
 
 
 def atom_indices(iv: BruhatInterval) -> tuple[tuple[int, Reflection], ...]:
-    """Indices of the elements covering u, with their edge labels."""
-    return tuple((j, t) for j, t in iv.out_edges[0] if iv.rank[j] == 1)
+    """Indices of the elements covering u, ascending, with their edge labels."""
+    return tuple((j, iv.label(0, j)) for j in bits(iv.out_mask[0]) if iv.rank[j] == 1)
 
 
 def atoms(iv: BruhatInterval) -> tuple[tuple[Perm, Reflection, Root], ...]:
@@ -306,21 +313,16 @@ def iso_signature(p: AbstractPoset):
 
 
 def interval_to_json(iv: BruhatInterval) -> dict:
-    """Elements in one-line notation; edges as index pairs, labels as [i, j]."""
+    """Elements in one-line notation; edges as index pairs in (lower end,
+    label) order, labels as [i, j]."""
+    edges = sorted(
+        (i, iv.label(i, j), j) for i, targets in enumerate(iv.out_mask) for j in bits(targets)
+    )
+    rank = iv.rank
     return {
         "u": format_perm(iv.bottom),
         "v": format_perm(iv.top),
         "elements": [format_perm(x) for x in iv.elements],
-        "hasse_edges": [[i, j] for i, j in iv.hasse_edges],
-        "bruhat_edges": [
-            [i, j, [t[0], t[1]]] for i, es in enumerate(iv.out_edges) for j, t in es
-        ],
+        "hasse_edges": [[i, j] for i, _, j in edges if rank[j] == rank[i] + 1],
+        "bruhat_edges": [[i, j, [t[0], t[1]]] for i, t, j in edges],
     }
-
-
-def interval_from_json(payload: dict) -> BruhatInterval:
-    """Rebuild an interval from its JSON form, validating the payload."""
-    iv = build_interval(parse_perm(payload["u"]), parse_perm(payload["v"]))
-    if interval_to_json(iv) != payload:
-        raise ValueError("interval payload does not match its rebuilt form")
-    return iv

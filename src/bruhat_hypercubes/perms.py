@@ -128,6 +128,26 @@ def apply_reflection(t: Reflection, w: Perm) -> Perm:
     return tuple(j if x == i else i if x == j else x for x in w)
 
 
+def reflection_between(x: Perm, y: Perm) -> Reflection:
+    """
+    The reflection t with y = t*x, the label of the Bruhat edge between x
+    and y: its two values sit at the first position where x and y differ.
+    Raises ValueError when y is not t*x for any reflection t.
+
+    >>> reflection_between((1, 2, 3, 4), (4, 2, 3, 1))
+    (1, 4)
+    >>> reflection_between((2, 3, 1), (1, 3, 2))
+    (1, 2)
+    """
+    for a, b in zip(x, y):
+        if a != b:
+            t = (a, b) if a < b else (b, a)
+            if apply_reflection(t, x) == y:
+                return t
+            break
+    raise ValueError(f"{format_perm(y)} is not a reflection times {format_perm(x)}")
+
+
 def right_transposition(w: Perm, i: int, j: int) -> Perm:
     """Right multiplication by (i, j): swap the entries at positions i, j."""
     lst = list(w)

@@ -69,13 +69,6 @@ def qp_deg(a: QPoly) -> int:
     return len(a) - 1
 
 
-def qp_eval(a: QPoly, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def qp_mirror(a: QPoly, ell: int) -> QPoly:
     """q^ell * a(1/q); requires deg(a) <= ell."""
     if qp_deg(a) > ell:

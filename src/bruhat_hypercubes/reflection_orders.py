@@ -222,6 +222,11 @@ def rtilde_by_paths(iv: BruhatInterval, order: ReflectionOrder) -> QPoly:
     pos = order.position
     top = iv.size - 1
     memo: dict[tuple[int, int], QPoly] = {}
+    # the edges leaving each x as (target, position of the label)
+    out = [
+        [(y, pos[iv.label(x, y)]) for y in bits(targets)]
+        for x, targets in enumerate(iv.out_mask)
+    ]
 
     def count(x: int, min_pos: int) -> QPoly:
         key = (x, min_pos)
@@ -229,8 +234,7 @@ def rtilde_by_paths(iv: BruhatInterval, order: ReflectionOrder) -> QPoly:
         if hit is not None:
             return hit
         acc = ONE if x == top else ZERO
-        for y, t in iv.out_edges[x]:
-            p = pos[t]
+        for y, p in out[x]:
             if p >= min_pos:
                 acc = qp_add(acc, qp_shift(count(y, p + 1), 1))
         memo[key] = acc
@@ -265,15 +269,16 @@ def check_E_properties(iv: BruhatInterval, mask: int, order: ReflectionOrder) ->
     # every edge into a member of the lower set I starts inside I
     in_max = [-1] * iv.size
     for y in bits(mask):
-        for x, t in iv.out_edges[y]:
-            in_max[x] = max(in_max[x], pos[t])
+        for x in bits(iv.out_mask[y]):
+            in_max[x] = max(in_max[x], pos[iv.label(y, x)])
 
     e1 = e2 = True
     internal_max = -1
     leaving_min = len(order.ordered)
     for x in bits(mask):
-        out_in = [pos[t] for y, t in iv.out_edges[x] if mask >> y & 1]
-        out_leaving = [pos[t] for y, t in iv.out_edges[x] if not mask >> y & 1]
+        targets = iv.out_mask[x]
+        out_in = [pos[iv.label(x, y)] for y in bits(targets & mask)]
+        out_leaving = [pos[iv.label(x, y)] for y in bits(targets & ~mask)]
         if out_leaving:
             lead = min(out_leaving)
             if out_in and max(out_in) >= lead:

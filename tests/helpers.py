@@ -17,7 +17,11 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import bruhat_hypercubes
-from bruhat_hypercubes.intervals import BruhatInterval, build_interval
+from bruhat_hypercubes.intervals import (
+    BruhatInterval,
+    build_interval,
+    interval_to_json,
+)
 from bruhat_hypercubes.perms import (
     Perm,
     Reflection,
@@ -25,6 +29,7 @@ from bruhat_hypercubes.perms import (
     apply_reflection,
     bruhat_leq,
     length,
+    parse_perm,
     reflection_length_delta,
     reflections,
 )
@@ -73,12 +78,15 @@ def naive_increasing_paths(iv: BruhatInterval, order: ReflectionOrder) -> QPoly:
     """Explicit enumeration of increasing paths bottom -> top, no memo."""
     pos = order.position
     top = iv.size - 1
+    out_edges: list[list[tuple[int, Reflection]]] = [[] for _ in range(iv.size)]
+    for i, j, t in bruhat_edges(iv):
+        out_edges[i].append((j, t))
     counts: dict[int, int] = {}
 
     def walk(x: int, last: int, edges: int) -> None:
         if x == top:
             counts[edges] = counts.get(edges, 0) + 1
-        for y, t in iv.out_edges[x]:
+        for y, t in out_edges[x]:
             if pos[t] > last:
                 walk(y, pos[t], edges + 1)
 
@@ -218,8 +226,32 @@ def subprocess_env() -> dict[str, str]:
 
 def bruhat_edges(iv: BruhatInterval) -> tuple[tuple[int, int, Reflection], ...]:
     """The labelled Bruhat edges (i, j, t) of an interval, in (lower end,
-    label) order, read off its one edge list ``out_edges``."""
-    return tuple((i, j, t) for i, es in enumerate(iv.out_edges) for j, t in es)
+    label) order: the edges are the bits of ``out_mask``, and each label is
+    found by trying every reflection t for x_j = t x_i."""
+    T = reflections(iv.n)
+    edges = []
+    for i, targets in enumerate(iv.out_mask):
+        x = iv.elements[i]
+        for j in mask_bits(targets):
+            (t,) = [t for t in T if apply_reflection(t, x) == iv.elements[j]]
+            edges.append((i, t, j))
+    return tuple((i, j, t) for i, t, j in sorted(edges))
+
+
+def qp_eval(a: QPoly, x: int) -> int:
+    """The value of the polynomial a at q = x, by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def interval_from_json(payload: dict) -> BruhatInterval:
+    """Rebuild an interval from its JSON form, validating the payload."""
+    iv = build_interval(parse_perm(payload["u"]), parse_perm(payload["v"]))
+    if interval_to_json(iv) != payload:
+        raise ValueError("interval payload does not match its rebuilt form")
+    return iv
 
 
 @lru_cache(maxsize=None)

@@ -269,6 +269,15 @@ def test_verify_rejects_an_empty_shard(capsys):
     assert err.startswith("error:") and out == ""
 
 
+@pytest.mark.parametrize("shard", ["", " "])
+def test_verify_rejects_a_blank_shard(capsys, shard):
+    # only a missing --shard means "no shard"; a blank value, as an unset
+    # shell variable would pass, must not sweep all of S_n
+    code, out, err = run(capsys, "verify", "3", "--shard", shard)
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+
+
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert cli.main(["verify", "3", "--cache", "x"]) == 1
     assert cli.main(["verify", "3", "--shard"]) == 1

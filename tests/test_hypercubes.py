@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bruhat_hypercubes.errors import (
     ClusterError,
-    DiamondFlipError,
     InvariantViolation,
 )
 from bruhat_hypercubes import hypercubes
@@ -16,13 +15,11 @@ from bruhat_hypercubes.hypercubes import (
     check_strong_hcd,
     coset_ideal_form,
     diamond_closure,
-    diamond_flip,
     enumerate_diamonds,
     first_disagreement,
     htilde,
     is_diamond_closed,
     is_simple,
-    is_strong_hcd,
     special_matchings,
     standard_hcd,
 )
@@ -64,13 +61,21 @@ from helpers import (
 )
 
 
+def _successors(iv):
+    out = [[] for _ in range(iv.size)]
+    for i, j, _ in bruhat_edges(iv):
+        out[i].append(j)
+    return out
+
+
 def brute_force_diamonds(iv):
+    out = _successors(iv)
     seen = set()
     for x1 in range(iv.size):
-        for x2, _ in iv.out_edges[x1]:
-            for x4, _ in iv.out_edges[x2]:
-                for x3, _ in iv.out_edges[x1]:
-                    if x3 != x2 and any(y == x4 for y, _ in iv.out_edges[x3]):
+        for x2 in out[x1]:
+            for x4 in out[x2]:
+                for x3 in out[x1]:
+                    if x3 != x2 and x4 in out[x3]:
                         a, b = min(x2, x3), max(x2, x3)
                         seen.add((x1, a, b, x4))
     return seen
@@ -97,46 +102,23 @@ def test_diamonds_match_brute_force_s4():
         assert set(enumerate_diamonds(iv)) == brute_force_diamonds(iv)
 
 
-def test_diamond_flip_examples():
-    iv = build_interval(identity(3), longest_element(3))
-    e, s1, s2 = iv.index[(1, 2, 3)], iv.index[(2, 1, 3)], iv.index[(1, 3, 2)]
-    s1s2 = iv.index[(2, 3, 1)]
-    assert diamond_flip(iv, e, s1, s1s2) == (e, s2, s1s2)
-    # involution
-    assert diamond_flip(iv, e, s2, s1s2) == (e, s1, s1s2)
-    with pytest.raises(ValueError):
-        diamond_flip(iv, s1, e, s1s2)
-
-
 def test_diamond_flip_total_and_involutive_on_intervals():
-    # the completing third vertex lies in [x1, x4], hence inside any interval
-    # containing the pair, so flips of interval edge pairs always resolve
+    # the flip x1 -> x2 -> x4  <->  x1 -> x3 -> x4 is total and involutive
+    # on interval edge pairs exactly when every such edge path lies in one
+    # diamond: the completing vertex lies in [x1, x4], hence in the interval
+    checked = 0
     for u, v in comparable_pairs(4)[::17]:
         iv = build_interval(u, v)
-        for x1 in range(iv.size):
-            for x2, _ in iv.out_edges[x1]:
-                for x4, _ in iv.out_edges[x2]:
-                    _, x3, _ = diamond_flip(iv, x1, x2, x4)
-                    assert diamond_flip(iv, x1, x3, x4) == (x1, x2, x4)
-
-
-def test_diamond_flip_reports_missing_completion():
-    # puncturing the graph (a non-induced subgraph of the Bruhat graph)
-    # makes the completion unreachable, which must be reported
-    import dataclasses
-
-    iv = build_interval(identity(3), longest_element(3))
-    e = iv.index[(1, 2, 3)]
-    s1, s2 = iv.index[(2, 1, 3)], iv.index[(1, 3, 2)]
-    s1s2 = iv.index[(2, 3, 1)]
-    punctured = dataclasses.replace(
-        iv,
-        out_mask=tuple(
-            m & ~(1 << s2) if i == e else m for i, m in enumerate(iv.out_mask)
-        ),
-    )
-    with pytest.raises(DiamondFlipError):
-        diamond_flip(punctured, e, s1, s1s2)
+        out = _successors(iv)
+        holding: dict = {}
+        for x1, x2, x3, x4 in enumerate_diamonds(iv):
+            for path in ((x1, x2, x4), (x1, x3, x4)):
+                holding[path] = holding.get(path, 0) + 1
+        paths = [(x1, x2, x4) for x1 in range(iv.size) for x2 in out[x1] for x4 in out[x2]]
+        assert sorted(holding) == sorted(paths), (u, v)
+        assert set(holding.values()) <= {1}, (u, v)
+        checked += len(paths)
+    assert checked > 100
 
 
 def test_diamond_closure_examples():
@@ -233,7 +215,7 @@ def test_build_cluster_failure_modes():
 
 def test_is_strong_hcd_examples():
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
-    assert is_strong_hcd(ivh, 0)
+    assert check_strong_hcd(ivh, 0).ok
     # z = v: improper but always strong, with empty frontiers
     chk = check_strong_hcd(ivh, ivh.size - 1)
     assert chk.ok and not chk.decomposition.proper

@@ -10,7 +10,6 @@ from bruhat_hypercubes.errors import EmptyIntervalError
 from bruhat_hypercubes.intervals import (
     atoms,
     build_interval,
-    interval_from_json,
     interval_to_json,
     poset_isomorphic,
 )
@@ -25,7 +24,13 @@ from bruhat_hypercubes.perms import (
     root_of,
 )
 
-from helpers import bruhat_edges, brute_length, comparable_pairs, reachability_leq
+from helpers import (
+    bruhat_edges,
+    brute_length,
+    comparable_pairs,
+    interval_from_json,
+    reachability_leq,
+)
 
 
 def test_single_element_interval():

@@ -14,6 +14,7 @@ from bruhat_hypercubes.perms import (
     length,
     longest_element,
     parse_perm,
+    reflection_between,
     reflection_length_delta,
     reflection_perm,
     reflections,
@@ -121,6 +122,18 @@ def test_reflection_parity_and_delta():
                 delta = length(apply_reflection(t, w)) - length(w)
                 assert delta % 2 == 1
                 assert delta == reflection_length_delta(t, w)
+
+
+def test_reflection_between_inverts_apply_reflection_s5():
+    for w in all_perms(5):
+        for t in reflections(5):
+            assert reflection_between(w, apply_reflection(t, w)) == t, (w, t)
+    with pytest.raises(ValueError):
+        reflection_between((1, 2, 3), (2, 3, 1))  # a 3-cycle apart
+    with pytest.raises(ValueError):
+        reflection_between((1, 2, 3), (1, 2, 3))
+    with pytest.raises(ValueError):
+        reflection_between((2, 1, 3), (2, 1, 3, 4))
 
 
 def test_length_complement_identity():

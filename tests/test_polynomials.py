@@ -25,7 +25,6 @@ from bruhat_hypercubes.polynomials import (
     kl_poly,
     qp_add,
     qp_deg,
-    qp_eval,
     qp_mirror,
     qp_mul,
     qp_normalize,
@@ -40,6 +39,7 @@ from helpers import (
     draw_comparable_pair,
     oracle_kl,
     oracle_r,
+    qp_eval,
     r_from_rtilde,
     random_functional_order,
 )

@@ -25,4 +25,4 @@ def test_no_assert_statements_in_the_library():
 def test_perms_doctests_pass():
     # the examples in the perms docstrings are executable documentation
     result = doctest.testmod(perms)
-    assert result.attempted == 7 and result.failed == 0
+    assert result.attempted == 9 and result.failed == 0
