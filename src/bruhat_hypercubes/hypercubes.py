@@ -18,7 +18,9 @@ Terminology, relative to an interval [u, v] and a lower ideal I:
 Clusters are built greedily by antichain size; uniqueness of the completion
 is enforced for every pair of removed elements, which catches non-strong
 ideals as early as possible.  Ideals, frontiers and antichains are bitmasks
-over the interval's element indices.
+over the interval's element indices.  HD2 for every [u, z] at once is one
+mask per interval, BruhatInterval.unclosed_tops: the OR over the diamonds of
+the z above x2 and x3 but not above x4.
 """
 
 from __future__ import annotations
@@ -243,11 +245,14 @@ class HcdCheck:
 
 def check_strong_hcd(iv: BruhatInterval, z: int) -> HcdCheck:
     """Check HD1-HD3 for the ideal [u, z]; on success the decomposition is
-    returned inside the check result."""
+    returned inside the check result.
+
+    HD2 is bit z of the interval's mask of unclosed tops
+    (BruhatInterval.unclosed_tops), which is computed once for all z."""
     if not 0 <= z < iv.size:
         raise ValueError(f"z = {z} is not an element index of the interval")
     ideal = iv.down_mask[z]
-    if not is_diamond_closed(iv, ideal):
+    if iv.unclosed_tops >> z & 1:
         return HcdCheck(False, "HD2", f"[u, {format_perm(iv.elements[z])}] is not diamond-closed")
     clusters: dict[int, HypercubeCluster] = {}
     for x in bits(ideal):

@@ -17,6 +17,13 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import bruhat_hypercubes
+from bruhat_hypercubes.errors import ClusterError
+from bruhat_hypercubes.hypercubes import (
+    HypercubeDecomposition,
+    build_cluster,
+    htilde,
+    is_diamond_closed,
+)
 from bruhat_hypercubes.intervals import (
     BruhatInterval,
     build_interval,
@@ -28,6 +35,7 @@ from bruhat_hypercubes.perms import (
     all_perms,
     apply_reflection,
     bruhat_leq,
+    format_perm,
     length,
     parse_perm,
     reflection_length_delta,
@@ -35,6 +43,7 @@ from bruhat_hypercubes.perms import (
 )
 from bruhat_hypercubes.polynomials import (
     QPoly,
+    compare_coefficientwise,
     qp_normalize,
 )
 from bruhat_hypercubes.reflection_orders import ReflectionOrder, make_order
@@ -236,6 +245,28 @@ def bruhat_edges(iv: BruhatInterval) -> tuple[tuple[int, int, Reflection], ...]:
             (t,) = [t for t in T if apply_reflection(t, x) == iv.elements[j]]
             edges.append((i, t, j))
     return tuple((i, j, t) for i, t, j in sorted(edges))
+
+
+def zscan_row(iv: BruhatInterval, z: int, rt: QPoly) -> dict:
+    """The strong, reason, h_tilde and verdict fields of the z-scan row of
+    [u, z], by the per-z route: HD2 by scanning every diamond with
+    ``is_diamond_closed``, then ``build_cluster`` at each x of [u, z] in
+    index order, the first ``ClusterError`` giving the HD3 reason."""
+    ideal = iv.down_mask[z]
+    row = {"strong": False, "reason": None, "h_tilde": None, "verdict": None}
+    if not is_diamond_closed(iv, ideal):
+        row["reason"] = f"HD2: [u, {format_perm(iv.elements[z])}] is not diamond-closed"
+        return row
+    clusters = {}
+    for x in mask_bits(ideal):
+        try:
+            clusters[x] = build_cluster(iv, z, x)
+        except ClusterError as err:
+            row["reason"] = f"HD3: no cluster at {format_perm(iv.elements[x])}: {err.reason}"
+            return row
+    h = htilde(iv, HypercubeDecomposition(interval=iv, z=z, ideal=ideal, clusters=clusters))
+    row.update(strong=True, h_tilde=list(h), verdict=compare_coefficientwise(h, rt))
+    return row
 
 
 def qp_eval(a: QPoly, x: int) -> int:

@@ -1,13 +1,17 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bruhat_hypercubes import cli
+from bruhat_hypercubes.intervals import build_interval
 from bruhat_hypercubes.perms import format_perm
+from bruhat_hypercubes.polynomials import rtilde_from_r
 
-from helpers import comparable_pairs, subprocess_env
+from helpers import comparable_pairs, subprocess_env, zscan_row
 
 
 def run(capsys, *argv):
@@ -139,6 +143,19 @@ def test_verify_interval_filter(capsys):
     assert any(row["z"] == "612345" for row in strict_rows)
     assert report["standard"]["verdict"] == "equal"
     assert report["counts"]["strict"] >= 1
+
+
+def test_verify_interval_rejects_a_shard_that_leaves_it_out(capsys):
+    code, out, err = run(
+        capsys, "verify", "4", "--interval", "1324", "4231", "--shard", "2/3"
+    )
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+    code, out, _ = run(
+        capsys, "verify", "4", "--interval", "1324", "4231", "--shard", "1/3", "--json"
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["summary"]["intervals"] == 1
 
 
 def test_verify_interval_rejects_a_wrong_degree_pair(capsys):
@@ -284,3 +301,45 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().err
     assert cli.main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_z_scan_rows_match_the_per_z_oracle_s5():
+    # every row of every S_5 interval, the standard z's reused row included,
+    # against HD2 by a scan of the diamonds and HD3 by build_cluster per x
+    fields = ("strong", "reason", "h_tilde", "verdict")
+    rows = reused = 0
+    axioms: dict = {}
+    for u, v in comparable_pairs(5):
+        iv = build_interval(u, v)
+        report = cli.analyze_interval(iv, True)
+        rt = rtilde_from_r(u, v)
+        standard_z = report["standard"] and report["standard"]["z"]
+        for z, row in enumerate(report["z_scan"]):
+            assert row["z"] == format_perm(iv.elements[z])
+            want = zscan_row(iv, z, rt)
+            assert {k: row[k] for k in fields} == want, (u, v, row["z"])
+            rows += 1
+            reused += row["z"] == standard_z
+            axiom = (row["reason"] or "ok")[:3]
+            axioms[axiom] = axioms.get(axiom, 0) + 1
+    assert rows == 52_800
+    assert reused == 3_781 - 120  # every interval but the 120 points
+    assert set(axioms) == {"ok", "HD2", "HD3"}
+
+
+def test_verify_5_exhaustive_z_stream_is_pinned(capsys):
+    # per-line sha256 of the --json stream, recorded at c29ab02, with the
+    # wall-clock seconds of the summary left out
+    ref = json.loads(
+        (Path(__file__).parent / "refs" / "verify5_exhaustive_z_shard5of16.json").read_text()
+    )
+    code, out, _ = run(capsys, *ref["argv"])
+    assert code == 0
+    digests = []
+    for line in out.splitlines():
+        if line.startswith('{"summary"'):
+            obj = json.loads(line)
+            del obj["summary"]["seconds"]
+            line = json.dumps(obj, sort_keys=True)
+        digests.append(hashlib.sha256(line.encode()).hexdigest())
+    assert digests == ref["sha256"]

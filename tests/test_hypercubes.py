@@ -140,6 +140,21 @@ def test_is_diamond_closed_examples():
     )
 
 
+def test_unclosed_tops_against_is_diamond_closed():
+    checked = unclosed = 0
+    for u, v in comparable_pairs(5) + comparable_pairs(6)[::97]:
+        iv = build_interval(u, v)
+        mask = iv.unclosed_tops
+        assert mask >> iv.size == 0
+        for z in range(iv.size):
+            expected = not is_diamond_closed(iv, iv.down_mask[z])
+            assert bool(mask >> z & 1) == expected, (u, v, z)
+            checked += 1
+            unclosed += expected
+    # every z of 3,781 S_5 and 1,015 S_6 intervals; both verdicts occur
+    assert (checked, unclosed) == (102_440, 45_753)
+
+
 def test_reflection_subgroup_cosets_are_diamond_closed():
     # any subset of reflections generates a product of symmetric groups;
     # its coset through u meets every interval in a diamond-closed set
