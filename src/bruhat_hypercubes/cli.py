@@ -90,8 +90,8 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
         scan = []
         for z in range(iv.size):
             if hcd is not None and z == hcd.z:
-                # standard_hcd has checked HD1-HD3 at this z and matched every
-                # cluster against the rebuilt one: its H~ is this row's
+                # standard_hcd returned check_strong_hcd's decomposition at
+                # this z: its H~ is this row's
                 ok, reason, h = True, None, standard_h
             else:
                 check = check_strong_hcd(iv, z)

@@ -9,7 +9,7 @@ class ClusterError(Exception):
     """No strong hypercube cluster exists at the requested base element.
 
     ``reason`` is one of "no completion", "ambiguous completion",
-    "HC3 violated", "HC4 violated", "hypercube image collapsed".
+    "HC4 violated", "hypercube image collapsed".
     """
 
     def __init__(self, reason: str, detail: str = ""):

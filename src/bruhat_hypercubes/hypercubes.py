@@ -17,10 +17,12 @@ Terminology, relative to an interval [u, v] and a lower ideal I:
 
 Clusters are built greedily by antichain size; uniqueness of the completion
 is enforced for every pair of removed elements, which catches non-strong
-ideals as early as possible.  Ideals, frontiers and antichains are bitmasks
-over the interval's element indices.  HD2 for every [u, z] at once is one
-mask per interval, BruhatInterval.unclosed_tops: the OR over the diamonds of
-the z above x2 and x3 but not above x4.
+ideals as early as possible.  This is the one cluster construction: the
+standard decomposition takes its clusters from it and checks the explicit
+cycle formula on them.  Ideals, frontiers and antichains are bitmasks over
+the interval's element indices.  HD2 for every [u, z] at once is one mask
+per interval, BruhatInterval.unclosed_tops: the OR over the diamonds of the
+z above x2 and x3 but not above x4.
 """
 
 from __future__ import annotations
@@ -124,12 +126,14 @@ def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
     """Construct the strong hypercube cluster at x relative to the ideal
     [u, z], or raise ClusterError when none exists.
 
-    Singletons are forced; each larger antichain is completed through every
-    pair of its elements and all completions must exist, agree, and be
-    unique.  A final pass checks the diamond-coherence axiom in both
-    directions: completions over two antichains differing in one element
-    must land on theta of their union, and must not exist at all when that
-    union is not an antichain.
+    Singletons are forced; each larger antichain Y is completed through
+    every pair of its elements and all completions must exist, agree, and
+    be unique.  That makes theta(Y) a common out-neighbour of every
+    theta(Y - p), so the edges of HC3 hold by construction; and as Bruhat
+    edges rise strictly in index, theta is injective on the subsets of
+    each antichain.  Completions over two antichains whose union is an
+    antichain are the ones just taken; a final pass checks the other half
+    of HC4, that no completion exists when the union is not an antichain.
     """
     if not 0 <= z < iv.size:
         raise ValueError(f"z = {z} is not an element index of the interval")
@@ -142,7 +146,6 @@ def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
         j: frontier & ~(iv.up_mask[j] | iv.down_mask[j]) for j in bits(frontier)
     }
     antichains = _antichain_masks(incomp)
-    is_antichain = set(antichains)
 
     theta: dict[int, int] = {0: x}
     for j in bits(frontier):
@@ -181,29 +184,11 @@ def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
                         "ambiguous completion",
                         f"pairs disagree at x={format_perm(iv.elements[x])}",
                     )
-        # injectivity within the hypercube below ymask
-        sub = (ymask - 1) & ymask
-        while True:
-            if theta[sub] == image:
-                raise ClusterError(
-                    "hypercube image collapsed", f"x={format_perm(iv.elements[x])}"
-                )
-            if sub == 0:
-                break
-            sub = (sub - 1) & ymask
         theta[ymask] = image
 
-    # HC3 for every cover pair of antichains
-    for ymask in antichains:
-        for p in bits(ymask):
-            if not out_mask[theta[ymask ^ (1 << p)]] >> theta[ymask] & 1:
-                raise ClusterError(
-                    "HC3 violated", f"x={format_perm(iv.elements[x])}"
-                )
-
-    # HC4 in full: unions that are not antichains must admit no completion
+    # the rest of HC4: unions that are not antichains admit no completion
     for zmask in antichains:
-        ext = [j for j in bits(frontier & ~zmask) if (zmask | 1 << j) in is_antichain]
+        ext = [j for j in bits(frontier & ~zmask) if not zmask & ~incomp[j]]
         for ai in range(len(ext)):
             for bi in range(ai + 1, len(ext)):
                 a, b = ext[ai], ext[bi]
@@ -305,13 +290,13 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
     disagreeing value d.
 
     The values 1..d-1 sit at the same positions in every element of [u, v],
-    so the ideal is {x : x(p) = d} for p = u^-1(d), the frontier of each x
-    is reached by moving d to a later position, and the cluster maps are
-    given by an explicit right-multiplication cycle formula through p.
-
-    The result is validated: it must agree exactly with the clusters rebuilt
-    by diamond completion, so a successful return is a verified strong
-    decomposition.
+    so the ideal is {x : x(p) = d} for p = u^-1(d).  Its clusters are the
+    ones check_strong_hcd builds by diamond completion, so a successful
+    return is a verified strong decomposition.  The explicit formula is then
+    checked on them as a certificate: the frontier of each x is reached by
+    moving d to a later position, the antichains of the frontier are the
+    sets of positions where x decreases, and each cluster image is the
+    right-multiplication cycle through p and those positions.
     """
     u, v = iv.bottom, iv.top
     if u == v:
@@ -326,53 +311,36 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
     if z == iv.size - 1:
         raise InvariantViolation("standard ideal must be proper")
 
-    clusters: dict[int, HypercubeCluster] = {}
-    for i in bits(ideal):
-        x = iv.elements[i]
-        frontier = iv.out_mask[i] & ~ideal
-        position: dict[int, int] = {}
-        for j in bits(frontier):
-            pos_of_d = iv.elements[j].index(d) + 1
-            if pos_of_d <= p or right_cycle(x, (p, pos_of_d)) != iv.elements[j]:
-                raise InvariantViolation("frontier element is not a cycle image")
-            position[j] = pos_of_d
-        images: dict[int, int] = {0: i}
-        sub = 0
-        while sub := (sub - frontier) & frontier:  # nonempty subsets, ascending
-            pos_list = sorted(position[j] for j in bits(sub))
-            decreasing = all(x[a - 1] > x[b - 1] for a, b in zip(pos_list, pos_list[1:]))
-            antichain = all(
-                sub & (iv.up_mask[j] | iv.down_mask[j]) == 1 << j for j in bits(sub)
-            )
-            if antichain != decreasing:
-                raise InvariantViolation(
-                    "antichains do not match decreasing position sets"
-                )
-            if not antichain:
-                continue
-            target = right_cycle(x, (p, *pos_list))
-            j = iv.index.get(target)
-            if j is None:
-                raise InvariantViolation("cycle image left the interval")
-            images[sub] = j
-        clusters[i] = HypercubeCluster(base=i, frontier=frontier, images=images)
-
-    # the explicit formula must agree with the generic diamond-completion
-    # construction; this also certifies HD1-HD3
     verdict = check_strong_hcd(iv, z)
     if not verdict.ok:
         raise InvariantViolation(
             f"standard decomposition failed {verdict.failed_axiom}: {verdict.reason}"
         )
-    rebuilt = verdict.decomposition
-    for i in bits(ideal):
-        if rebuilt.clusters[i].images != clusters[i].images:
-            raise InvariantViolation(
-                "standard cluster disagrees with the rebuilt cluster"
-            )
-    return HypercubeDecomposition(
-        interval=iv, z=z, ideal=ideal, clusters=clusters
-    )
+    hcd = verdict.decomposition
+    for i, cluster in hcd.clusters.items():
+        x = iv.elements[i]
+        position: dict[int, int] = {}
+        for j in bits(cluster.frontier):
+            pos_of_d = iv.elements[j].index(d) + 1
+            if pos_of_d <= p or right_cycle(x, (p, pos_of_d)) != iv.elements[j]:
+                raise InvariantViolation("frontier element is not a cycle image")
+            position[j] = pos_of_d
+        # antichain and decreasing position set are both pairwise conditions
+        for a in position:
+            for b in bits(cluster.frontier >> (a + 1) << (a + 1)):
+                incomparable = not (iv.up_mask[a] | iv.down_mask[a]) >> b & 1
+                first, second = sorted((position[a], position[b]))
+                if incomparable != (x[first - 1] > x[second - 1]):
+                    raise InvariantViolation(
+                        "antichains do not match decreasing position sets"
+                    )
+        for ymask, image in cluster.images.items():
+            cycle = (p, *sorted(position[j] for j in bits(ymask)))
+            if right_cycle(x, cycle) != iv.elements[image]:
+                raise InvariantViolation(
+                    "standard cluster disagrees with the cycle formula"
+                )
+    return hcd
 
 
 # ---------------------------------------------------------------------------

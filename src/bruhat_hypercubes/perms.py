@@ -58,7 +58,10 @@ def parse_perm(text: str) -> Perm:
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"unbalanced brackets in permutation {text!r}")
-        entries = tuple(int(part) for part in text[1:-1].split(",") if part.strip())
+        parts = text[1:-1].split(",")
+        if not all(part.strip() for part in parts):
+            raise ValueError(f"empty entry in permutation {text!r}")
+        entries = tuple(int(part) for part in parts)
     else:
         if not text.isdigit():
             raise ValueError(f"cannot parse permutation {text!r}")

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import bruhat_hypercubes
 from bruhat_hypercubes.errors import ClusterError
 from bruhat_hypercubes.hypercubes import (
+    HypercubeCluster,
     HypercubeDecomposition,
     build_cluster,
     htilde,
@@ -267,6 +268,54 @@ def zscan_row(iv: BruhatInterval, z: int, rt: QPoly) -> dict:
     h = htilde(iv, HypercubeDecomposition(interval=iv, z=z, ideal=ideal, clusters=clusters))
     row.update(strong=True, h_tilde=list(h), verdict=compare_coefficientwise(h, rt))
     return row
+
+
+def check_cluster_axioms(iv: BruhatInterval, ideal: int, cluster: HypercubeCluster) -> None:
+    """Assert that ``cluster`` satisfies the cluster axioms of the
+    ``hypercubes`` module docstring relative to the lower set ``ideal``,
+    reading only ``out_mask``, ``up_mask`` and ``down_mask``; it never calls
+    ``build_cluster``, so it backs every cluster the library builds (those
+    of ``check_strong_hcd``, ``standard_hcd`` and ``zscan_row``)."""
+    x, theta = cluster.base, cluster.images
+    frontier = iv.out_mask[x] & ~ideal
+    assert ideal >> x & 1 and cluster.frontier == frontier
+    members = list(mask_bits(frontier))
+
+    def comparable(a: int, b: int) -> bool:
+        return bool((iv.up_mask[a] | iv.down_mask[a]) >> b & 1)
+
+    # the antichains of the frontier, level by level
+    antichains = {0}
+    level = [0]
+    while level:
+        level = [
+            y | 1 << j
+            for y in level
+            for j in members
+            if j > y.bit_length() - 1 and not any(comparable(j, k) for k in mask_bits(y))
+        ]
+        antichains.update(level)
+    assert set(theta) == antichains, "keys are not the antichains of the frontier"
+
+    assert theta[0] == x
+    assert all(theta[1 << y] == y for y in members)
+    for y in antichains:
+        for p in mask_bits(y):
+            assert iv.out_mask[theta[y ^ 1 << p]] >> theta[y] & 1, "HC3"
+        images, sub = {theta[y]}, y
+        while sub:
+            sub = (sub - 1) & y
+            images.add(theta[sub])
+        assert len(images) == 1 << y.bit_count(), "not injective"
+    # HC4: over two antichains Y + a and Y + b, the common out-neighbours of
+    # their images are exactly theta of the union if it is an antichain, and
+    # none otherwise
+    for y in antichains:
+        ext = [j for j in members if not y >> j & 1 and y | 1 << j in antichains]
+        for a, b in itertools.combinations(ext, 2):
+            common = iv.out_mask[theta[y | 1 << a]] & iv.out_mask[theta[y | 1 << b]]
+            union = y | 1 << a | 1 << b
+            assert common == (1 << theta[union] if union in antichains else 0), "HC4"
 
 
 def qp_eval(a: QPoly, x: int) -> int:

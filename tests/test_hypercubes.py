@@ -35,6 +35,7 @@ from bruhat_hypercubes.perms import (
     length,
     longest_element,
     reflections,
+    right_cycle,
 )
 from bruhat_hypercubes.polynomials import (
     EQUAL,
@@ -53,6 +54,7 @@ from bruhat_hypercubes.reflection_orders import (
 
 from helpers import (
     bruhat_edges,
+    check_cluster_axioms,
     comparable_pairs,
     down_set_masks,
     draw_comparable_pair,
@@ -228,6 +230,51 @@ def test_build_cluster_failure_modes():
         build_cluster(iv, -1, 0)  # no wrap-around to the top
 
 
+def test_cluster_axiom_oracle_rejects_tampered_clusters():
+    ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
+    cl = build_cluster(ivh, 0, 0)
+    check_cluster_axioms(ivh, 1, cl)
+    a, b = [y for y in cl.images if y.bit_count() == 2][:2]
+    swapped = {**cl.images, a: cl.images[b], b: cl.images[a]}
+    missing = {y: img for y, img in cl.images.items() if y != cl.frontier}
+    for images in (swapped, missing, {**cl.images, 0: 1}):
+        with pytest.raises(AssertionError):
+            check_cluster_axioms(ivh, 1, hypercubes.HypercubeCluster(0, cl.frontier, images))
+    with pytest.raises(AssertionError):
+        check_cluster_axioms(ivh, 0b11, cl)  # the frontier of another ideal
+
+
+def test_strong_clusters_satisfy_the_axioms_s5():
+    # build_cluster checks neither HC3 nor injectivity, which hold by
+    # construction; the oracle re-checks every axiom on every cluster of
+    # every strong [u, z] of S_5
+    strong = clusters = 0
+    for u, v in comparable_pairs(5):
+        iv = build_interval(u, v)
+        for z in range(iv.size):
+            chk = check_strong_hcd(iv, z)
+            if chk.ok:
+                strong += 1
+                for cluster in chk.decomposition.clusters.values():
+                    check_cluster_axioms(iv, chk.decomposition.ideal, cluster)
+                    clusters += 1
+    assert (strong, clusters) == (25_490, 158_091)
+
+
+def test_standard_clusters_satisfy_the_axioms_s6():
+    # every 194th S_6 pair keeps this under a few seconds
+    checked = 0
+    for u, v in comparable_pairs(6)[::194]:
+        if u == v:
+            continue
+        iv = build_interval(u, v)
+        hcd = standard_hcd(iv)
+        for cluster in hcd.clusters.values():
+            check_cluster_axioms(iv, hcd.ideal, cluster)
+        checked += 1
+    assert checked == 500
+
+
 def test_is_strong_hcd_examples():
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
     assert check_strong_hcd(ivh, 0).ok
@@ -312,6 +359,34 @@ def test_standard_hcd_builds_no_second_interval(monkeypatch):
     for iv in ivs:
         hcd = standard_hcd(iv)
         assert htilde(iv, hcd) == rtilde_from_r(iv.bottom, iv.top)
+
+
+def test_standard_certificate_rejects_a_wrong_cycle_formula(monkeypatch):
+    # the cycle formula is checked on the clusters diamond completion built,
+    # so a wrong formula makes standard_hcd raise wherever it matters
+    ivs = [build_interval(u, v) for u, v in comparable_pairs(4) if u != v]
+    wide = [
+        max(y.bit_count() for c in standard_hcd(iv).clusters.values() for y in c.images) >= 2
+        for iv in ivs
+    ]
+    assert 0 < sum(wide) < len(ivs)
+
+    # run backwards, a 2-cycle is the same transposition, so the frontier
+    # still checks out and only the images of antichains of size >= 2 go wrong
+    monkeypatch.setattr(hypercubes, "right_cycle", lambda w, c: right_cycle(w, c[::-1]))
+    for iv, has_wide in zip(ivs, wide):
+        if has_wide:
+            with pytest.raises(InvariantViolation) as err:
+                standard_hcd(iv)
+            assert "frontier" not in str(err.value)
+        else:
+            standard_hcd(iv)
+
+    monkeypatch.setattr(hypercubes, "right_cycle", lambda w, c: w)
+    for iv, has_wide in zip(ivs, wide):
+        if has_wide:
+            with pytest.raises(InvariantViolation, match="frontier element is not a cycle image"):
+                standard_hcd(iv)
 
 
 def test_standard_hcd_proper_on_all_s4():

@@ -32,7 +32,9 @@ def test_parse_digits_and_brackets():
     assert parse_perm(big) == tuple(range(1, 12))
 
 
-@pytest.mark.parametrize("bad", ["213541", "2135", "0123", "[1,1,2]", "abc", "[2,1"])
+@pytest.mark.parametrize(
+    "bad", ["213541", "2135", "0123", "[1,1,2]", "abc", "[2,1", "[2,,1]", "[1,2,]", "[,1]"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_perm(bad)
