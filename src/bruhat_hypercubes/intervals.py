@@ -3,13 +3,14 @@ Bruhat intervals [u, v]: element sets, Bruhat graphs, Hasse diagrams, and
 abstract-poset isomorphism.
 
 An interval is materialised in one downward scan of the reflections from v,
-which finds its elements and its Bruhat graph together.  Elements are
-referenced by dense integer indices, assigned in (rank, one-line notation)
-order, so index 0 is u and the last index is v.  Subsets of an interval are
-bitmasks (Python ints) over these indices, and so is the Bruhat graph: one
-mask of edge targets per element.  Edge labels and covers are not stored;
-they are read off the endpoints when asked for.  The Bruhat order of all of
-S_n is read off the interval [e, w0].
+which finds its elements and its Bruhat graph together, reading each step
+off positions (see perms).  Elements are referenced by dense integer
+indices, assigned in (rank, one-line notation) order, so index 0 is u and
+the last index is v.  Subsets of an interval are bitmasks (Python ints) over
+these indices, and so is the Bruhat graph: one mask of edge targets per
+element.  Edge labels and covers are not stored; they are read off the
+endpoints when asked for.  The Bruhat order of all of S_n is read off the
+interval [e, w0].
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ from .perms import (
     Perm,
     Reflection,
     Root,
-    apply_reflection,
     bruhat_leq,
     format_perm,
     identity,
+    inverse,
     length,
     longest_element,
     reflection_between,
-    reflection_length_delta,
     reflections,
+    right_transposition,
     root_of,
 )
 
@@ -122,33 +123,35 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
     """Materialize [u, v] in one downward scan from v; raises
     EmptyIntervalError when u is not <= v.
 
-    Every element x found so far is expanded along each reflection t with
-    l(t x) < l(x); y = t x belongs to the interval iff u <= y, a verdict
-    taken once per y.  Every Bruhat edge y -> x of [u, v] is met exactly
-    once, at its upper end x.
+    Every element x found so far is expanded along each reflection
+    t = (i, j), i < j, with j left of i in x, which is when l(t x) < l(x);
+    t x swaps those two positions of x.  y = t x belongs to the interval iff
+    u <= y, a verdict taken once per y.  Every Bruhat edge y -> x of [u, v]
+    is met exactly once, at its upper end x.  Ranks are lengths, taken once
+    per element after the scan.
     """
     if not bruhat_leq(u, v):
         raise EmptyIntervalError(
             f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order"
         )
     T = reflections(len(u))
-    base = length(u)
-    ell = {v: length(v)}  # the length of every y reached, None unless u <= y
+    member = {v: True}  # the verdict u <= y for every y reached
     found = [v]
     scanned: list[tuple[Perm, Perm]] = []
     for x in found:  # grows while it is scanned
-        for t in T:
-            delta = reflection_length_delta(t, x)
-            if delta > 0:
+        where = inverse(x)
+        for i, j in T:
+            if where[i - 1] < where[j - 1]:
                 continue
-            y = apply_reflection(t, x)
-            if y not in ell:
-                ell[y] = ell[x] + delta if bruhat_leq(u, y) else None
-                if ell[y] is not None:
+            y = right_transposition(x, where[i - 1], where[j - 1])
+            if y not in member:
+                member[y] = bruhat_leq(u, y)
+                if member[y]:
                     found.append(y)
-            if ell[y] is not None:
+            if member[y]:
                 scanned.append((y, x))
 
+    ell = {x: length(x) for x in found}
     elements = sorted(found, key=lambda x: (ell[x], x))
     index = {x: i for i, x in enumerate(elements)}
     m = len(elements)
@@ -171,7 +174,7 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
         top=v,
         elements=tuple(elements),
         index=index,
-        rank=tuple(ell[x] - base for x in elements),
+        rank=tuple(ell[x] - ell[u] for x in elements),
         out_mask=tuple(out_mask),
         up_mask=tuple(up_mask),
         down_mask=tuple(down_mask),

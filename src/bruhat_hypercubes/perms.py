@@ -13,6 +13,8 @@ conventions every other module relies on are pinned here:
 
 A reflection is a pair (i, j) with i < j, standing for the transposition of
 i and j (of values when multiplied on the left, of positions on the right).
+Left multiplication by (i, j) equals right multiplication by the swap of the
+positions of i and j, and it lowers the length exactly when j sits left of i.
 """
 
 from __future__ import annotations
@@ -203,6 +205,7 @@ def root_forest(n: int, ts: Iterable[Reflection]) -> Optional[list[int]]:
     return [find(a) for a in range(n + 1)]
 
 
+# no caller in the library: perfbench/record_refs.py imports this name
 def reflection_length_delta(t: Reflection, w: Perm) -> int:
     """length(t*w) - length(w), computed in O(n)."""
     i, j = t

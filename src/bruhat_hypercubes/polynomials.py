@@ -5,15 +5,16 @@ A polynomial in q is a tuple of int coefficients, index k holding the
 coefficient of q^k, with no trailing zeros; the zero polynomial is ().
 Python ints make overflow impossible by construction.
 
-R and R-tilde come from descent recurrences, P from one table over the
-interval [u, v]; all three are memoized module-wide, keyed by one-line
-tuples, so repeated interval analyses share work.  All functions
-are pure; under CPython the dict caches are safe to share across threads,
-and results are deterministic either way.
+R-tilde comes from one descent recurrence and R is read off it by a
+substitution; P comes from one table over the interval [u, v].  R-tilde and
+P are memoized module-wide, keyed by one-line tuples, so repeated interval
+analyses share work.  All functions are pure; under CPython the dict caches
+are safe to share across threads, and results are deterministic either way.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -119,40 +120,32 @@ def compare_coefficientwise(a: QPoly, b: QPoly) -> str:
 # ---------------------------------------------------------------------------
 # the R / P / R-tilde families
 
-_R_MEMO: dict[tuple[Perm, Perm], QPoly] = {}
 _P_MEMO: dict[tuple[Perm, Perm], QPoly] = {}
 _RT_MEMO: dict[tuple[Perm, Perm], QPoly] = {}
 
 
 def r_poly(u: Perm, v: Perm) -> QPoly:
-    """The R-polynomial, by the descent recurrence.
-
-    R(u, u) = 1; R(u, v) = 0 when u is not <= v; otherwise recurse on any
-    right descent s of v:  R(us, vs) when s is also a descent of u, else
-    q R(us, vs) + (q - 1) R(u, vs).  The result is independent of the
-    descent chosen; we take the smallest.
+    """The R-polynomial, read off R-tilde(u, v) = sum of c_k q^k
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 5.3): from
+    R(t^2) = t^l R-tilde(t - 1/t), R(u, v) = sum of c_k q^((l - k)/2) (q - 1)^k,
+    where l = l(u, v) is the degree of R-tilde and c_k = 0 unless k = l mod 2.
+    R(u, u) = 1, and R(u, v) = 0 when u is not <= v.
     """
-    key = (u, v)
-    hit = _R_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if u == v:
-        res = ONE
-    elif not bruhat_leq(u, v):
-        res = ZERO
-    else:
-        i, j = min(descents(v))
-        vs = right_transposition(v, i, j)
-        us = right_transposition(u, i, j)
-        if u[i - 1] > u[j - 1]:
-            res = r_poly(us, vs)
-        else:
-            res = qp_add(
-                qp_shift(r_poly(us, vs), 1),
-                qp_mul((-1, 1), r_poly(u, vs)),
-            )
-    _R_MEMO[key] = res
-    return res
+    rt = _rtilde(u, v)
+    ell = len(rt) - 1
+    out = [0] * (ell + 1)
+    for k, c in enumerate(rt):
+        if c:
+            shift = (ell - k) // 2
+            for m, b in enumerate(_q_minus_one_power(k)):
+                out[shift + m] += c * b
+    return qp_normalize(out)
+
+
+@cache
+def _q_minus_one_power(k: int) -> QPoly:
+    """(q - 1)^k, each power built once from the one below it."""
+    return ONE if k == 0 else qp_mul(_q_minus_one_power(k - 1), (-1, 1))
 
 
 def kl_poly(u: Perm, v: Perm) -> QPoly:
@@ -199,14 +192,14 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
 
 
 def rtilde_from_r(u: Perm, v: Perm) -> QPoly:
-    """The R-tilde polynomial, by its own descent recurrence (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, Sec. 5.3); requires u <= v.
+    """The R-tilde polynomial, by the one descent recurrence of this module
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 5.3); requires
+    u <= v.
 
     R-tilde(u, u) = 1; R-tilde(u, v) = 0 when u is not <= v; otherwise, for
-    the smallest right descent s of v (the one r_poly uses): R-tilde(us, vs)
-    when s is also a descent of u, else R-tilde(us, vs) + q R-tilde(u, vs).
-    R-tilde(u, v) is nonzero exactly when u <= v.  It satisfies
-    t^l R-tilde(t - 1/t) = R(t^2) without being derived from R.
+    the smallest right descent s of v: R-tilde(us, vs) when s is also a
+    descent of u, else R-tilde(us, vs) + q R-tilde(u, vs).  R-tilde(u, v) is
+    nonzero exactly when u <= v; r_poly reads R off it.
     """
     res = _rtilde(u, v)
     if not res:

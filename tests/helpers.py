@@ -36,16 +36,20 @@ from bruhat_hypercubes.perms import (
     all_perms,
     apply_reflection,
     bruhat_leq,
+    descents,
     format_perm,
     length,
     parse_perm,
-    reflection_length_delta,
     reflections,
+    right_transposition,
 )
 from bruhat_hypercubes.polynomials import (
     QPoly,
     compare_coefficientwise,
+    qp_add,
+    qp_mul,
     qp_normalize,
+    qp_shift,
 )
 from bruhat_hypercubes.reflection_orders import ReflectionOrder, make_order
 
@@ -142,6 +146,37 @@ def oracle_r(u: Perm, v: Perm) -> QPoly:
     iv = build_interval(u, v)
     rt = naive_increasing_paths(iv, make_order(reflections(len(u))))
     return r_from_rtilde(rt, length(v) - length(u))
+
+
+def r_with_choice(u: Perm, v: Perm, pick_last: bool = False, memo=None) -> QPoly:
+    """R-polynomial by its own descent recurrence (Bjorner-Brenti, Sec. 5.1),
+    recursing on the smallest right descent of v, or the largest with
+    pick_last: R(u, u) = 1; R(u, v) = 0 when u is not <= v; otherwise
+    R(us, vs) when s is also a descent of u, else q R(us, vs) + (q - 1) R(u, vs).
+    The library reads R off R-tilde instead, so this is an independent route."""
+    if memo is None:
+        memo = {}
+    key = (u, v)
+    if key in memo:
+        return memo[key]
+    if u == v:
+        res = (1,)
+    elif not bruhat_leq(u, v):
+        res = ()
+    else:
+        ds = sorted(descents(v))
+        i, j = ds[-1] if pick_last else ds[0]
+        vs = right_transposition(v, i, j)
+        us = right_transposition(u, i, j)
+        if u[i - 1] > u[j - 1]:
+            res = r_with_choice(us, vs, pick_last, memo)
+        else:
+            res = qp_add(
+                qp_shift(r_with_choice(us, vs, pick_last, memo), 1),
+                qp_mul((-1, 1), r_with_choice(u, vs, pick_last, memo)),
+            )
+    memo[key] = res
+    return res
 
 
 def oracle_kl(u: Perm, v: Perm, cache=None) -> QPoly:
@@ -350,7 +385,9 @@ def draw_comparable_pair(data, max_length):
     u = v
     for _ in range(data.draw(st.integers(0, max_length))):
         covers = [
-            t for t in reflections(n) if reflection_length_delta(t, u) == -1
+            t
+            for t in reflections(n)
+            if brute_length(apply_reflection(t, u)) == brute_length(u) - 1
         ]
         if not covers:
             break

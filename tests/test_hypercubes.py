@@ -230,6 +230,51 @@ def test_build_cluster_failure_modes():
         build_cluster(iv, -1, 0)  # no wrap-around to the top
 
 
+def test_build_cluster_final_hc4_pass_fires_s5():
+    # verify 5 --exhaustive-z reports "HC4 violated" at u = 12345,
+    # v = 14532, z = 12435, x = u: every completion over an antichain union
+    # exists and is unique, yet two images over a union that is not an
+    # antichain still have a common out-neighbour
+    iv = build_interval((1, 2, 3, 4, 5), (1, 4, 5, 3, 2))
+    z, x = iv.index[(1, 2, 4, 3, 5)], 0
+    with pytest.raises(ClusterError) as err:
+        build_cluster(iv, z, x)
+    assert err.value.reason == "HC4 violated"
+
+    # the same witness from the masks alone: theta by unique completion,
+    # antichain by antichain, then a completion over a non-antichain union
+    members = list(mask_bits(iv.out_mask[x] & ~iv.down_mask[z]))
+
+    def comparable(a: int, b: int) -> bool:
+        return bool((iv.up_mask[a] | iv.down_mask[a]) >> b & 1)
+
+    theta = {0: x, **{1 << j: j for j in members}}
+    level = list(theta)[1:]
+    while level:
+        level = [
+            y | 1 << j
+            for y in level
+            for j in members
+            if j > y.bit_length() - 1 and not any(comparable(j, k) for k in mask_bits(y))
+        ]
+        for y in level:
+            p, q = list(mask_bits(y))[:2]
+            common = iv.out_mask[theta[y ^ 1 << p]] & iv.out_mask[theta[y ^ 1 << q]]
+            assert common.bit_count() == 1
+            theta[y] = common.bit_length() - 1
+    witnesses = [
+        (y, a, b)
+        for y in theta
+        for a, b in itertools.combinations(members, 2)
+        if comparable(a, b)
+        and y | 1 << a in theta
+        and y | 1 << b in theta
+        and theta[y | 1 << a] != theta[y | 1 << b]
+        and iv.out_mask[theta[y | 1 << a]] & iv.out_mask[theta[y | 1 << b]]
+    ]
+    assert witnesses
+
+
 def test_cluster_axiom_oracle_rejects_tampered_clusters():
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
     cl = build_cluster(ivh, 0, 0)
@@ -387,6 +432,40 @@ def test_standard_certificate_rejects_a_wrong_cycle_formula(monkeypatch):
         if has_wide:
             with pytest.raises(InvariantViolation, match="frontier element is not a cycle image"):
                 standard_hcd(iv)
+
+
+def test_standard_certificate_rejects_a_wrong_antichain(monkeypatch):
+    # after the real clusters are built, mark one incomparable frontier pair
+    # comparable: the pairwise test of standard_hcd must see that the
+    # positions still decrease there
+    real = hypercubes.check_strong_hcd
+
+    def tampered(iv, z):
+        verdict = real(iv, z)
+        a, b = next(
+            mask_bits(y)
+            for cluster in verdict.decomposition.clusters.values()
+            for y in cluster.images
+            if y.bit_count() == 2
+        )
+        iv.up_mask = tuple(m | 1 << b if i == a else m for i, m in enumerate(iv.up_mask))
+        return verdict
+
+    wide = [
+        (u, v)
+        for u, v in comparable_pairs(4)
+        if u != v
+        and any(
+            y.bit_count() == 2
+            for cluster in standard_hcd(build_interval(u, v)).clusters.values()
+            for y in cluster.images
+        )
+    ]
+    assert wide
+    monkeypatch.setattr(hypercubes, "check_strong_hcd", tampered)
+    for u, v in wide:
+        with pytest.raises(InvariantViolation, match="antichains do not match"):
+            standard_hcd(build_interval(u, v))
 
 
 def test_standard_hcd_proper_on_all_s4():

@@ -82,16 +82,19 @@ def test_interval_contents_and_edges_s4():
 
 
 def test_interval_is_complete_against_brute_force_order():
-    # the one downward scan must find every element and every Bruhat edge:
-    # all of S_4 and every 25th pair of S_5, against the order rebuilt from
-    # scratch as the transitive closure of the length-raising edges
+    # the one downward scan must find every element, in (length, one-line)
+    # order with its rank, and every Bruhat edge: all of S_4 and every 25th
+    # pair of S_5, against the order rebuilt from scratch as the transitive
+    # closure of the length-raising edges
     for n, pairs in ((4, comparable_pairs(4)), (5, comparable_pairs(5)[::25])):
         leq = reachability_leq(n)
         group = list(all_perms(n))
         for u, v in pairs:
             iv = build_interval(u, v)
             members = {x for x in group if leq[(u, x)] and leq[(x, v)]}
-            assert set(iv.elements) == members, (u, v)
+            order = sorted(members, key=lambda x: (brute_length(x), x))
+            assert iv.elements == tuple(order), (u, v)
+            assert iv.rank == tuple(brute_length(x) - brute_length(u) for x in order)
             want = sorted(
                 (iv.index[x], t, iv.index[y])
                 for x in members

@@ -19,6 +19,7 @@ from bruhat_hypercubes.perms import (
     reflection_perm,
     reflections,
     right_cycle,
+    right_transposition,
     root_of,
 )
 
@@ -118,10 +119,18 @@ def test_bruhat_partial_order_axioms_s4():
 
 
 def test_reflection_parity_and_delta():
-    for n in (3, 4):
+    # the facts the interval scan reads off positions: t = (i, j) lowers w
+    # exactly when j sits left of i, t*w swaps the entries at those two
+    # positions, and the length changes by an odd amount
+    for n in (4, 5):
         for w in all_perms(n):
+            where = inverse(w)
             for t in reflections(n):
-                delta = length(apply_reflection(t, w)) - length(w)
+                i, j = t
+                tw = apply_reflection(t, w)
+                delta = brute_length(tw) - brute_length(w)
+                assert (delta < 0) == (where[j - 1] < where[i - 1]), (w, t)
+                assert tw == right_transposition(w, where[i - 1], where[j - 1])
                 assert delta % 2 == 1
                 assert delta == reflection_length_delta(t, w)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,15 +7,7 @@ from hypothesis import strategies as st
 
 from bruhat_hypercubes.errors import InvariantViolation
 from bruhat_hypercubes.intervals import build_interval
-from bruhat_hypercubes.perms import (
-    all_perms,
-    bruhat_leq,
-    descents,
-    identity,
-    length,
-    longest_element,
-    right_transposition,
-)
+from bruhat_hypercubes.perms import all_perms, identity, length
 from bruhat_hypercubes.polynomials import (
     EQUAL,
     GREATER_EQUAL,
@@ -41,6 +34,7 @@ from helpers import (
     oracle_r,
     qp_eval,
     r_from_rtilde,
+    r_with_choice,
     random_functional_order,
 )
 
@@ -84,29 +78,6 @@ def test_r_poly_against_path_oracle():
 
 
 def test_r_poly_descent_choice_independence():
-    def r_with_choice(u, v, pick_last, memo):
-        key = (u, v)
-        if key in memo:
-            return memo[key]
-        if u == v:
-            res = (1,)
-        elif not bruhat_leq(u, v):
-            res = ()
-        else:
-            ds = sorted(descents(v))
-            i, j = ds[-1] if pick_last else ds[0]
-            vs = right_transposition(v, i, j)
-            us = right_transposition(u, i, j)
-            if u[i - 1] > u[j - 1]:
-                res = r_with_choice(us, vs, pick_last, memo)
-            else:
-                res = qp_add(
-                    qp_shift(r_with_choice(us, vs, pick_last, memo), 1),
-                    qp_mul((-1, 1), r_with_choice(u, vs, pick_last, memo)),
-                )
-        memo[key] = res
-        return res
-
     first: dict = {}
     last: dict = {}
     for u, v in comparable_pairs(4):
@@ -194,12 +165,22 @@ def test_rtilde_shape_s4():
 
 
 def test_substitution_identity_both_ways_s4():
-    # t^ell * rtilde(t - 1/t) must reproduce R(t^2) exactly, R-tilde and R
-    # each coming from its own recurrence; S_5 has 3,781 comparable pairs
+    # r_poly reads R off R-tilde; it must equal R from its own descent
+    # recurrence on every pair of S_4 and S_5 and on every ordered pair of S_4
+    # (incomparable ones give 0), and R from path counting on all of S_4 and
+    # every 3rd pair of S_5.  t^ell * rtilde(t - 1/t) = R(t^2) then holds
+    # with R-tilde and R each from its own recurrence
+    memo: dict = {}
     for n in (4, 5):
-        for u, v in comparable_pairs(n):
+        for k, (u, v) in enumerate(comparable_pairs(n)):
+            want = r_with_choice(u, v, False, memo)
+            assert r_poly(u, v) == want, (u, v)
+            if n == 4 or k % 3 == 0:
+                assert oracle_r(u, v) == want, (u, v)
             ell = length(v) - length(u)
-            assert r_from_rtilde(rtilde_from_r(u, v), ell) == r_poly(u, v), (u, v)
+            assert r_from_rtilde(rtilde_from_r(u, v), ell) == want, (u, v)
+    for u, v in itertools.product(all_perms(4), repeat=2):
+        assert r_poly(u, v) == r_with_choice(u, v, False, memo), (u, v)
 
 
 @settings(max_examples=30, deadline=None)
@@ -207,7 +188,9 @@ def test_substitution_identity_both_ways_s4():
 def test_rtilde_against_r_and_paths_s6_s7(data):
     u, v = draw_comparable_pair(data, 8)
     rt = rtilde_from_r(u, v)
-    assert r_from_rtilde(rt, length(v) - length(u)) == r_poly(u, v)
+    want = r_with_choice(u, v)
+    assert r_poly(u, v) == want == oracle_r(u, v)
+    assert r_from_rtilde(rt, length(v) - length(u)) == want
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     order = random_functional_order(len(u), rng)
     assert rtilde_by_paths(build_interval(u, v), order) == rt

@@ -2,11 +2,16 @@
 
 import ast
 import doctest
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bruhat_hypercubes
 from bruhat_hypercubes import errors, perms
+
+from helpers import comparable_pairs, subprocess_env
 
 SRC = Path(bruhat_hypercubes.__file__).parent
 
@@ -43,3 +48,42 @@ def test_cluster_error_reasons_are_the_documented_ones():
     ]
     assert all(isinstance(arg, ast.Constant) and isinstance(arg.value, str) for arg in first_args)
     assert {arg.value for arg in first_args} == documented
+
+
+def test_invariants_fire_under_python_O():
+    # under -O a wrong cycle formula must still raise InvariantViolation, and
+    # the verify stream must not change (the summary's seconds aside)
+    script = """
+import sys
+from bruhat_hypercubes import hypercubes
+from bruhat_hypercubes.errors import InvariantViolation
+from bruhat_hypercubes.intervals import build_interval
+from bruhat_hypercubes.perms import right_cycle
+
+assert False, "asserts are live: not running under -O"
+hypercubes.right_cycle = lambda w, c: right_cycle(w, c[::-1])
+try:
+    hypercubes.standard_hcd(build_interval((1, 2, 3), (3, 2, 1)))
+except InvariantViolation:
+    sys.exit(0)
+sys.exit(3)
+"""
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        proc = subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    run("-O", "-c", script)
+
+    def stream(*flags: str) -> tuple:
+        proc = run(*flags, "-m", "bruhat_hypercubes", "verify", "4", "--exhaustive-z", "--json")
+        *reports, summary = proc.stdout.splitlines()
+        assert len(reports) == len(comparable_pairs(4))
+        summary = json.loads(summary)
+        del summary["summary"]["seconds"]
+        return reports, summary
+
+    assert stream("-O") == stream()
