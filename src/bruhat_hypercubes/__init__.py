@@ -8,7 +8,6 @@ from .errors import (
     InvariantViolation,
 )
 from .hypercubes import (
-    Diamond,
     HypercubeCluster,
     HypercubeDecomposition,
     build_cluster,

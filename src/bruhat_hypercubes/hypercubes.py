@@ -15,20 +15,24 @@ Terminology, relative to an interval [u, v] and a lower ideal I:
 * a strong decomposition is an ideal [u, z], diamond-closed, with a valid
   cluster at every point.
 
-Clusters are built greedily by antichain size; uniqueness of the completion
-is enforced for every pair of removed elements, which catches non-strong
-ideals as early as possible.  This is the one cluster construction: the
-standard decomposition takes its clusters from it and checks the explicit
-cycle formula on them.  Ideals, frontiers and antichains are bitmasks over
-the interval's element indices.  HD2 for every [u, z] at once is one mask
-per interval, BruhatInterval.unclosed_tops: the OR over the diamonds of the
-z above x2 and x3 but not above x4.
+Clusters are built in one pass over the antichains, level by level: the
+pairs of extensions of each antichain either grow the level two sizes up
+(incomparable pairs) or are checked against HC4 (comparable ones).  Every
+completion must exist, agree and be unique, for every pair of removed
+elements; these construction errors raise at once, and an HC4 witness is
+reported only once every level is built.  This is the one cluster
+construction: the standard decomposition takes its clusters from it and
+checks the explicit cycle formula on them.  Ideals, frontiers and
+antichains are bitmasks over the interval's element indices, and diamonds
+are plain (x1, x2, x3, x4) tuples of them.  HD2 for every [u, z] at once is
+one mask per interval, BruhatInterval.unclosed_tops: the OR over the
+diamonds of the z above x2 and x3 but not above x4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import ClusterError, InvariantViolation
 # build_interval is not called here: perfbench/tracing.py wraps this name
@@ -43,22 +47,16 @@ from .perms import (
 from .polynomials import QPoly, ZERO, qp_add, qp_shift, rtilde_from_r
 
 
-class Diamond(NamedTuple):
-    x1: int
-    x2: int
-    x3: int
-    x4: int
-
-
-def enumerate_diamonds(iv: BruhatInterval) -> list[Diamond]:
-    """All diamonds of the Bruhat graph, each once, with x2 < x3 by index."""
+def enumerate_diamonds(iv: BruhatInterval) -> list[tuple[int, int, int, int]]:
+    """All diamonds of the Bruhat graph, each once, as (x1, x2, x3, x4) with
+    x2 < x3 by index."""
     out = []
     out_mask = iv.out_mask
     for x1, targets in enumerate(out_mask):
         for x2 in bits(targets):
             for x3 in bits(targets >> (x2 + 1) << (x2 + 1)):
                 for x4 in bits(out_mask[x2] & out_mask[x3]):
-                    out.append(Diamond(x1, x2, x3, x4))
+                    out.append((x1, x2, x3, x4))
     return out
 
 
@@ -103,37 +101,26 @@ class HypercubeCluster:
     images: dict[int, int]
 
 
-def _antichain_masks(incomp: dict[int, int]) -> list[int]:
-    """All antichains of a frontier, given as the incomparable members of
-    each member, in (size, value) order."""
-    out = [0]
-
-    def extend(mask: int, allowed: int) -> None:
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nxt = mask | low
-            out.append(nxt)
-            extend(nxt, allowed & incomp[low.bit_length() - 1] & ~((low << 1) - 1))
-
-    extend(0, sum(1 << j for j in incomp))
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
-
-
 def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
     """Construct the strong hypercube cluster at x relative to the ideal
     [u, z], or raise ClusterError when none exists.
 
-    Singletons are forced; each larger antichain Y is completed through
-    every pair of its elements and all completions must exist, agree, and
-    be unique.  That makes theta(Y) a common out-neighbour of every
+    One pass over the antichains of the frontier, level by level.  The round
+    at size k walks every pair a < b of extensions of each antichain Y of
+    size k: Y + a + b joins the level k + 2 when a and b are incomparable,
+    and when they are comparable, theta(Y + a) != theta(Y + b) with a common
+    out-neighbour is a witness against HC4.  Singletons are forced; each new
+    level is then built in ascending mask order, theta(Y) being the
+    completion through every pair of members of Y, which must exist, agree
+    and be unique.  That makes theta(Y) a common out-neighbour of every
     theta(Y - p), so the edges of HC3 hold by construction; and as Bruhat
-    edges rise strictly in index, theta is injective on the subsets of
-    each antichain.  Completions over two antichains whose union is an
-    antichain are the ones just taken; a final pass checks the other half
-    of HC4, that no completion exists when the union is not an antichain.
+    edges rise strictly in index, theta is injective on the subsets of each
+    antichain.
+
+    Failure order: a construction error ("hypercube image collapsed", "no
+    completion", "ambiguous completion") raises at once, at the first
+    antichain in (size, mask) order; "HC4 violated" raises only after every
+    level is built.
     """
     if not 0 <= z < iv.size:
         raise ValueError(f"z = {z} is not an element index of the interval")
@@ -145,62 +132,48 @@ def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
     incomp = {
         j: frontier & ~(iv.up_mask[j] | iv.down_mask[j]) for j in bits(frontier)
     }
-    antichains = _antichain_masks(incomp)
-
+    out_mask = iv.out_mask
+    at = f"x={format_perm(iv.elements[x])}"
     theta: dict[int, int] = {0: x}
-    for j in bits(frontier):
+    for j in incomp:
         theta[1 << j] = j
 
-    out_mask = iv.out_mask
-    for ymask in antichains:
-        k = ymask.bit_count()
-        if k < 2:
-            continue
-        members = list(bits(ymask))
-        image: Optional[int] = None
-        for ai in range(k):
-            for bi in range(ai + 1, k):
-                m1 = theta[ymask ^ (1 << members[ai])]
-                m2 = theta[ymask ^ (1 << members[bi])]
-                if m1 == m2:
-                    raise ClusterError(
-                        "hypercube image collapsed",
-                        f"x={format_perm(iv.elements[x])}",
-                    )
-                common = out_mask[m1] & out_mask[m2]
-                if not common:
-                    raise ClusterError(
-                        "no completion", f"x={format_perm(iv.elements[x])}"
-                    )
-                if common & (common - 1):
-                    raise ClusterError(
-                        "ambiguous completion", f"x={format_perm(iv.elements[x])}"
-                    )
-                w = common.bit_length() - 1
-                if image is None:
-                    image = w
-                elif image != w:
-                    raise ClusterError(
-                        "ambiguous completion",
-                        f"pairs disagree at x={format_perm(iv.elements[x])}",
-                    )
-        theta[ymask] = image
+    hc4_witness = False
+    level, upper = [0], [1 << j for j in incomp]
+    while upper:
+        grown: set[int] = set()
+        for ymask in level:
+            ext = [j for j in bits(frontier & ~ymask) if not ymask & ~incomp[j]]
+            for ai, a in enumerate(ext):
+                ya = ymask | 1 << a
+                for b in ext[ai + 1 :]:
+                    if incomp[a] >> b & 1:
+                        grown.add(ya | 1 << b)
+                    elif not hc4_witness:
+                        m1, m2 = theta[ya], theta[ymask | 1 << b]
+                        hc4_witness = m1 != m2 and bool(out_mask[m1] & out_mask[m2])
+        level, upper = upper, sorted(grown)
+        for ymask in upper:
+            below = [theta[ymask ^ 1 << p] for p in bits(ymask)]
+            image: Optional[int] = None
+            for ai, m1 in enumerate(below):
+                for m2 in below[ai + 1 :]:
+                    if m1 == m2:
+                        raise ClusterError("hypercube image collapsed", at)
+                    common = out_mask[m1] & out_mask[m2]
+                    if not common:
+                        raise ClusterError("no completion", at)
+                    if common & (common - 1):
+                        raise ClusterError("ambiguous completion", at)
+                    w = common.bit_length() - 1
+                    if image is None:
+                        image = w
+                    elif image != w:
+                        raise ClusterError("ambiguous completion", f"pairs disagree at {at}")
+            theta[ymask] = image
 
-    # the rest of HC4: unions that are not antichains admit no completion
-    for zmask in antichains:
-        ext = [j for j in bits(frontier & ~zmask) if not zmask & ~incomp[j]]
-        for ai in range(len(ext)):
-            for bi in range(ai + 1, len(ext)):
-                a, b = ext[ai], ext[bi]
-                if incomp[a] >> b & 1:
-                    continue  # union is an antichain: covered by construction
-                m1 = theta[zmask | 1 << a]
-                m2 = theta[zmask | 1 << b]
-                if m1 != m2 and out_mask[m1] & out_mask[m2]:
-                    raise ClusterError(
-                        "HC4 violated", f"x={format_perm(iv.elements[x])}"
-                    )
-
+    if hc4_witness:
+        raise ClusterError("HC4 violated", at)
     return HypercubeCluster(base=x, frontier=frontier, images=theta)
 
 
@@ -210,14 +183,9 @@ def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
 
 @dataclass(frozen=True)
 class HypercubeDecomposition:
-    interval: BruhatInterval
     z: int
     ideal: int
     clusters: dict[int, HypercubeCluster]
-
-    @property
-    def proper(self) -> bool:
-        return self.z != self.interval.size - 1
 
 
 @dataclass(frozen=True)
@@ -251,9 +219,7 @@ def check_strong_hcd(iv: BruhatInterval, z: int) -> HcdCheck:
             )
     return HcdCheck(
         True,
-        decomposition=HypercubeDecomposition(
-            interval=iv, z=z, ideal=ideal, clusters=clusters
-        ),
+        decomposition=HypercubeDecomposition(z=z, ideal=ideal, clusters=clusters),
     )
 
 

@@ -300,7 +300,7 @@ def zscan_row(iv: BruhatInterval, z: int, rt: QPoly) -> dict:
         except ClusterError as err:
             row["reason"] = f"HD3: no cluster at {format_perm(iv.elements[x])}: {err.reason}"
             return row
-    h = htilde(iv, HypercubeDecomposition(interval=iv, z=z, ideal=ideal, clusters=clusters))
+    h = htilde(iv, HypercubeDecomposition(z=z, ideal=ideal, clusters=clusters))
     row.update(strong=True, h_tilde=list(h), verdict=compare_coefficientwise(h, rt))
     return row
 

@@ -306,9 +306,13 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
 def test_z_scan_rows_match_the_per_z_oracle_s5():
     # every row of every S_5 interval, the standard z's reused row included,
     # against HD2 by a scan of the diamonds and HD3 by build_cluster per x
+    # the reasons also in stream order, against a digest recorded at f113ed4:
+    # zscan_row calls the library's own build_cluster, so only this pins
+    # which failure each cluster reports first
     fields = ("strong", "reason", "h_tilde", "verdict")
     rows = reused = 0
     axioms: dict = {}
+    reasons = hashlib.sha256()
     for u, v in comparable_pairs(5):
         iv = build_interval(u, v)
         report = cli.analyze_interval(iv, True)
@@ -322,9 +326,13 @@ def test_z_scan_rows_match_the_per_z_oracle_s5():
             reused += row["z"] == standard_z
             axiom = (row["reason"] or "ok")[:3]
             axioms[axiom] = axioms.get(axiom, 0) + 1
+            reasons.update(f"{report['u']} {report['v']} {row['z']} {row['reason']}\n".encode())
     assert rows == 52_800
     assert reused == 3_781 - 120  # every interval but the 120 points
     assert set(axioms) == {"ok", "HD2", "HD3"}
+    assert reasons.hexdigest() == (
+        "2e7af967101d6f1916c5e49b88b6637046a1035865f878e2efb817d21432568e"
+    )
 
 
 def test_verify_5_exhaustive_z_stream_is_pinned(capsys):

@@ -95,7 +95,7 @@ def test_enumerate_diamonds_counts():
     # the Bruhat graph here is exactly the 4-hypercube: C(4,2) * 2^2
     assert len(got) == 24
     assert set(got) == brute_force_diamonds(ivh)
-    assert all(d.x2 < d.x3 for d in got)
+    assert all(d[1] < d[2] for d in got)
 
 
 def test_diamonds_match_brute_force_s4():
@@ -275,6 +275,30 @@ def test_build_cluster_final_hc4_pass_fires_s5():
     assert witnesses
 
 
+def test_build_cluster_construction_errors_win_over_hc4():
+    # at u = 12345, v = 15432, z = x = u the cluster fails two ways: the
+    # first 2-antichain has two completions, and two comparable frontier
+    # elements share an out-neighbour; the construction error is the one
+    # reported, since "HC4 violated" waits until every level is built
+    iv = build_interval((1, 2, 3, 4, 5), (1, 5, 4, 3, 2))
+    z = x = 0
+    with pytest.raises(ClusterError) as err:
+        build_cluster(iv, z, x)
+    assert err.value.reason == "ambiguous completion"
+    assert check_strong_hcd(iv, z).reason == "no cluster at 12345: ambiguous completion"
+
+    # both failures from the masks alone, among the singletons theta({j}) = j
+    members = list(mask_bits(iv.out_mask[x] & ~iv.down_mask[z]))
+
+    def comparable(a: int, b: int) -> bool:
+        return bool((iv.up_mask[a] | iv.down_mask[a]) >> b & 1)
+
+    pairs = list(itertools.combinations(members, 2))
+    _, a, b = min((1 << a | 1 << b, a, b) for a, b in pairs if not comparable(a, b))
+    assert (iv.out_mask[a] & iv.out_mask[b]).bit_count() == 2
+    assert any(comparable(a, b) and iv.out_mask[a] & iv.out_mask[b] for a, b in pairs)
+
+
 def test_cluster_axiom_oracle_rejects_tampered_clusters():
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
     cl = build_cluster(ivh, 0, 0)
@@ -325,7 +349,7 @@ def test_is_strong_hcd_examples():
     assert check_strong_hcd(ivh, 0).ok
     # z = v: improper but always strong, with empty frontiers
     chk = check_strong_hcd(ivh, ivh.size - 1)
-    assert chk.ok and not chk.decomposition.proper
+    assert chk.ok and chk.decomposition.z == ivh.size - 1
     assert htilde(ivh, chk.decomposition) == rtilde_from_r(ivh.bottom, ivh.top)
 
     iv3 = build_interval(identity(3), longest_element(3))
@@ -355,7 +379,7 @@ def test_standard_hcd_examples():
     iv = build_interval(identity(3), longest_element(3))
     hcd = standard_hcd(iv)
     assert {format_perm(iv.elements[i]) for i in mask_bits(hcd.ideal)} == {"123", "132"}
-    assert hcd.proper
+    assert hcd.z != iv.size - 1  # proper
 
     # length-one interval: ideal {u}, single cluster with frontier {v}
     iv1 = build_interval((1, 2, 3), (2, 1, 3))
