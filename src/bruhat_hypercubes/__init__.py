@@ -26,6 +26,7 @@ from .intervals import (
     AbstractPoset,
     BruhatInterval,
     atoms,
+    bruhat_order,
     build_interval,
     interval_to_json,
     poset_isomorphic,

@@ -32,6 +32,7 @@ from .hypercubes import (
 from .intervals import (
     BruhatInterval,
     bits,
+    bruhat_order,
     build_interval,
     comparable_pairs,
     iso_signature,
@@ -88,13 +89,16 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
 
     if exhaustive_z:
         scan = []
+        # the clusters of this interval that succeeded, by base: a later z
+        # restricts one whose frontier covers its own instead of building
+        known = {} if hcd is None else {x: [c] for x, c in hcd.clusters.items()}
         for z in range(iv.size):
             if hcd is not None and z == hcd.z:
                 # standard_hcd returned check_strong_hcd's decomposition at
                 # this z: its H~ is this row's
                 ok, reason, h = True, None, standard_h
             else:
-                check = check_strong_hcd(iv, z)
+                check = check_strong_hcd(iv, z, known)
                 ok = check.ok
                 reason = None if ok else f"{check.failed_axiom}: {check.reason}"
                 h = htilde(iv, check.decomposition) if ok else None
@@ -348,14 +352,16 @@ def cmd_verify(args) -> int:
                 f"--interval expects a pair of S_{n}, got {' '.join(args.interval)}"
             )
         pairs = ((u, v),) if bruhat_leq(u, v) else ()
+        group = None  # one interval: the reflection scan builds it alone
     else:
         pairs = comparable_pairs(n)
+        group = bruhat_order(n)  # built by comparable_pairs, and kept
 
     reported = failures = 0
     iso_groups: dict = {}
     for u, v in itertools.islice(pairs, shard_k - 1, None, shard_m):
         reported += 1
-        iv = build_interval(u, v)
+        iv = build_interval(u, v, group)
         report = analyze_interval(iv, args.exhaustive_z)
         failures += len(report["counterexamples"])
         for message in report["counterexamples"]:

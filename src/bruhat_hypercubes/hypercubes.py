@@ -22,11 +22,14 @@ completion must exist, agree and be unique, for every pair of removed
 elements; these construction errors raise at once, and an HC4 witness is
 reported only once every level is built.  This is the one cluster
 construction: the standard decomposition takes its clusters from it and
-checks the explicit cycle formula on them.  Ideals, frontiers and
-antichains are bitmasks over the interval's element indices, and diamonds
-are plain (x1, x2, x3, x4) tuples of them.  HD2 for every [u, z] at once is
-one mask per interval, BruhatInterval.unclosed_tops: the OR over the
-diamonds of the z above x2 and x3 but not above x4.
+checks the explicit cycle formula on them.  Every check is local to one
+antichain, so a cluster on a frontier F restricts to a cluster on every
+F' inside F: a scan over z keeps the clusters it built and restricts one
+whose frontier covers the next z's instead of building again.  Ideals,
+frontiers and antichains are bitmasks over the interval's element indices,
+and diamonds are plain (x1, x2, x3, x4) tuples of them.  HD2 for every
+[u, z] at once is one mask per interval, BruhatInterval.unclosed_tops: the
+OR over the diamonds of the z above x2 and x3 but not above x4.
 """
 
 from __future__ import annotations
@@ -133,7 +136,6 @@ def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
         j: frontier & ~(iv.up_mask[j] | iv.down_mask[j]) for j in bits(frontier)
     }
     out_mask = iv.out_mask
-    at = f"x={format_perm(iv.elements[x])}"
     theta: dict[int, int] = {0: x}
     for j in incomp:
         theta[1 << j] = j
@@ -159,22 +161,41 @@ def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
             for ai, m1 in enumerate(below):
                 for m2 in below[ai + 1 :]:
                     if m1 == m2:
-                        raise ClusterError("hypercube image collapsed", at)
+                        raise ClusterError("hypercube image collapsed", _at(iv, x))
                     common = out_mask[m1] & out_mask[m2]
                     if not common:
-                        raise ClusterError("no completion", at)
+                        raise ClusterError("no completion", _at(iv, x))
                     if common & (common - 1):
-                        raise ClusterError("ambiguous completion", at)
+                        raise ClusterError("ambiguous completion", _at(iv, x))
                     w = common.bit_length() - 1
                     if image is None:
                         image = w
                     elif image != w:
-                        raise ClusterError("ambiguous completion", f"pairs disagree at {at}")
+                        raise ClusterError(
+                            "ambiguous completion", f"pairs disagree at {_at(iv, x)}"
+                        )
             theta[ymask] = image
 
     if hc4_witness:
-        raise ClusterError("HC4 violated", at)
+        raise ClusterError("HC4 violated", _at(iv, x))
     return HypercubeCluster(base=x, frontier=frontier, images=theta)
+
+
+def _at(iv: BruhatInterval, x: int) -> str:
+    """The base of a failed cluster, as a ClusterError detail."""
+    return f"x={format_perm(iv.elements[x])}"
+
+
+def restrict_cluster(cluster: HypercubeCluster, frontier: int) -> HypercubeCluster:
+    """The cluster at the same base on a frontier inside cluster.frontier.
+
+    Every check build_cluster makes is local to one antichain, or to one
+    pair of extensions of it, so a cluster on F is a cluster on every
+    F' inside F, with theta restricted to the antichains inside F'.  The
+    images keep their (size, mask) order, which is build_cluster's."""
+    outside = cluster.frontier & ~frontier
+    images = {y: img for y, img in cluster.images.items() if not y & outside}
+    return HypercubeCluster(base=cluster.base, frontier=frontier, images=images)
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +217,49 @@ class HcdCheck:
     decomposition: Optional[HypercubeDecomposition] = None
 
 
-def check_strong_hcd(iv: BruhatInterval, z: int) -> HcdCheck:
+def check_strong_hcd(
+    iv: BruhatInterval,
+    z: int,
+    known: Optional[dict[int, list[HypercubeCluster]]] = None,
+) -> HcdCheck:
     """Check HD1-HD3 for the ideal [u, z]; on success the decomposition is
     returned inside the check result.
 
     HD2 is bit z of the interval's mask of unclosed tops
-    (BruhatInterval.unclosed_tops), which is computed once for all z."""
+    (BruhatInterval.unclosed_tops), which is computed once for all z.
+
+    known, if given, maps a base x to clusters of this interval that
+    succeeded at x, and is kept up to date: a cluster at x whose frontier
+    covers this z's frontier is restricted to it (restrict_cluster) instead
+    of built, and every cluster built here is added.  A restricted cluster
+    always succeeds, so the first x without a cluster, which the HD3 reason
+    names, is always found by a real build_cluster."""
     if not 0 <= z < iv.size:
         raise ValueError(f"z = {z} is not an element index of the interval")
     ideal = iv.down_mask[z]
     if iv.unclosed_tops >> z & 1:
         return HcdCheck(False, "HD2", f"[u, {format_perm(iv.elements[z])}] is not diamond-closed")
+    if known is None:
+        known = {}
+    out_mask = iv.out_mask
     clusters: dict[int, HypercubeCluster] = {}
     for x in bits(ideal):
-        try:
-            clusters[x] = build_cluster(iv, z, x)
-        except ClusterError as err:
-            return HcdCheck(
-                False,
-                "HD3",
-                f"no cluster at {format_perm(iv.elements[x])}: {err.reason}",
-            )
+        frontier = out_mask[x] & ~ideal
+        kept = known.setdefault(x, [])
+        for cluster in kept:
+            if not frontier & ~cluster.frontier:
+                clusters[x] = restrict_cluster(cluster, frontier)
+                break
+        else:
+            try:
+                clusters[x] = build_cluster(iv, z, x)
+            except ClusterError as err:
+                return HcdCheck(
+                    False,
+                    "HD3",
+                    f"no cluster at {format_perm(iv.elements[x])}: {err.reason}",
+                )
+            kept.append(clusters[x])
     return HcdCheck(
         True,
         decomposition=HypercubeDecomposition(z=z, ideal=ideal, clusters=clusters),

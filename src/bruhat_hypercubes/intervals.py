@@ -2,21 +2,23 @@
 Bruhat intervals [u, v]: element sets, Bruhat graphs, Hasse diagrams, and
 abstract-poset isomorphism.
 
-An interval is materialised in one downward scan of the reflections from v,
-which finds its elements and its Bruhat graph together, reading each step
-off positions (see perms).  Elements are referenced by dense integer
+The Bruhat order of all of S_n is the interval [e, w0], bruhat_order(n),
+which a sweep over S_n builds once.  An interval [u, v] is read off it when
+the caller holds it, as a sweep does; otherwise, as for a single query of
+any degree, it is materialised in one downward scan of the reflections from
+v, which finds its elements and its Bruhat graph together, reading each
+step off positions (see perms).  Elements are referenced by dense integer
 indices, assigned in (rank, one-line notation) order, so index 0 is u and
 the last index is v.  Subsets of an interval are bitmasks (Python ints) over
 these indices, and so is the Bruhat graph: one mask of edge targets per
 element.  Edge labels and covers are not stored; they are read off the
-endpoints when asked for.  The Bruhat order of all of S_n is read off the
-interval [e, w0].
+endpoints when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .errors import EmptyIntervalError, InvariantViolation
@@ -119,17 +121,27 @@ def bits(mask: int):
         mask ^= low
 
 
-def build_interval(u: Perm, v: Perm) -> BruhatInterval:
-    """Materialize [u, v] in one downward scan from v; raises
-    EmptyIntervalError when u is not <= v.
+def build_interval(
+    u: Perm, v: Perm, group: Optional[BruhatInterval] = None
+) -> BruhatInterval:
+    """Materialize [u, v]; raises EmptyIntervalError when u is not <= v.
 
-    Every element x found so far is expanded along each reflection
-    t = (i, j), i < j, with j left of i in x, which is when l(t x) < l(x);
-    t x swaps those two positions of x.  y = t x belongs to the interval iff
-    u <= y, a verdict taken once per y.  Every Bruhat edge y -> x of [u, v]
-    is met exactly once, at its upper end x.  Ranks are lengths, taken once
-    per element after the scan.
+    Given group, the order [e, w0] of S_n (bruhat_order(n)), [u, v] is read
+    off it: its elements are up_mask[u] & down_mask[v], and its edges are
+    the group's edges between them.  The group's (length, one-line) index
+    order restricts to the interval's own, so both routes give the same
+    interval.  A group of another degree raises ValueError.
+
+    Without group, [u, v] is found in one downward scan from v.  Every
+    element x found so far is expanded along each reflection t = (i, j),
+    i < j, with j left of i in x, which is when l(t x) < l(x); t x swaps
+    those two positions of x.  y = t x belongs to the interval iff u <= y,
+    a verdict taken once per y.  Every Bruhat edge y -> x of [u, v] is met
+    exactly once, at its upper end x.  Ranks are lengths, taken once per
+    element after the scan.
     """
+    if group is not None:
+        return _project(u, v, group)
     if not bruhat_leq(u, v):
         raise EmptyIntervalError(
             f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order"
@@ -154,12 +166,48 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
     ell = {x: length(x) for x in found}
     elements = sorted(found, key=lambda x: (ell[x], x))
     index = {x: i for i, x in enumerate(elements)}
-    m = len(elements)
-    out_mask = [0] * m
+    out_mask = [0] * len(elements)
     for y, x in scanned:
         out_mask[index[y]] |= 1 << index[x]
-    # transitive closure along the edges, which rise in index: closing in
-    # index order reads only complete masks
+    return _closed(elements, index, [ell[x] - ell[u] for x in elements], out_mask)
+
+
+def _project(u: Perm, v: Perm, group: BruhatInterval) -> BruhatInterval:
+    """[u, v] read off the group interval [e, w0] of the same degree."""
+    n = len(u)
+    if group.bottom != identity(n) or group.top != longest_element(n) or len(v) != n:
+        raise ValueError(
+            f"[{format_perm(u)}, {format_perm(v)}] cannot be read off"
+            f" [{format_perm(group.bottom)}, {format_perm(group.top)}]"
+        )
+    gu, gv = group.index[u], group.index[v]
+    members = group.up_mask[gu] & group.down_mask[gv]
+    if not members:
+        raise EmptyIntervalError(
+            f"{format_perm(u)} is not <= {format_perm(v)} in Bruhat order"
+        )
+    where = list(bits(members))  # group index of each local index
+    local = {g: i for i, g in enumerate(where)}
+    group_out = group.out_mask
+    out_mask = []
+    for g in where:
+        mask = 0
+        for h in bits(group_out[g] & members):
+            mask |= 1 << local[h]
+        out_mask.append(mask)
+    elements = [group.elements[g] for g in where]
+    index = {x: i for i, x in enumerate(elements)}
+    rank = group.rank
+    return _closed(elements, index, [rank[g] - rank[gu] for g in where], out_mask)
+
+
+def _closed(
+    elements: list[Perm], index: dict[Perm, int], rank: list[int], out_mask: list[int]
+) -> BruhatInterval:
+    """The interval with these edges, its up/down masks closed along them."""
+    # the edges rise in index: closing in index order reads only complete
+    # masks
+    m = len(elements)
     up_mask = [1 << i for i in range(m)]
     down_mask = list(up_mask)
     for i in range(m):
@@ -170,24 +218,32 @@ def build_interval(u: Perm, v: Perm) -> BruhatInterval:
             up_mask[i] |= up_mask[j]
 
     return BruhatInterval(
-        bottom=u,
-        top=v,
+        bottom=elements[0],
+        top=elements[-1],
         elements=tuple(elements),
         index=index,
-        rank=tuple(ell[x] - ell[u] for x in elements),
+        rank=tuple(rank),
         out_mask=tuple(out_mask),
         up_mask=tuple(up_mask),
         down_mask=tuple(down_mask),
     )
 
 
+@lru_cache(maxsize=1)
+def bruhat_order(n: int) -> BruhatInterval:
+    """[e, w0]: the Bruhat order of all of S_n.  The order of the last n
+    asked for is kept, so a sweep over S_n builds it once."""
+    return build_interval(identity(n), longest_element(n))
+
+
 def comparable_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
     """All pairs u <= v in S_n, sorted by (length(v), v, u): the down-masks
     of [e, w0], read in index order.
 
-    [e, w0] is built at the call; the pairs are then streamed, never held.
+    [e, w0] is bruhat_order(n), kept for the sweep that reads its intervals
+    off it; the pairs are streamed, never held.
     """
-    group = build_interval(identity(n), longest_element(n))
+    group = bruhat_order(n)
     w = group.elements
     return ((w[i], v) for j, v in enumerate(w) for i in bits(group.down_mask[j]))
 

@@ -12,6 +12,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -310,28 +312,94 @@ def test_criterion_9_invariance_of_p_on_iso_classes():
     )
 
 
+# The strict rows H~ > R~ of all of S_6, as (u, v, z): all at a proper z of a
+# non-simple interval; hcd U V Z reports each as greater-equal.
+STRICT_S6 = {
+    ("132546", "345621", "234561"),
+    ("215463", "456321", "345612"),
+    ("243165", "456321", "345612"),
+    ("153624", "564312", "456123"),
+    ("321654", "564312", "456123"),
+    ("351426", "564312", "456123"),
+    ("132546", "651234", "612345"),
+    ("216435", "654123", "561234"),
+    ("413265", "654123", "561234"),
+}
+
+
+def _tally_s6_stream(stream, tally: dict) -> None:
+    """Count one verify --exhaustive-z --json stream as it arrives."""
+    for line in stream:
+        obj = json.loads(line)
+        if "summary" in obj:
+            tally["summary"] = obj["summary"]
+            continue
+        counts = obj["counts"]
+        tally["reports"] += 1
+        tally["counterexamples"] += len(obj["counterexamples"])
+        tally["strong"] += counts["strong"]
+        if obj["simple"]:
+            tally["simple"] += 1
+            tally["simple_strong"] += counts["strong"]
+            tally["simple_equal"] += counts["equal"]
+        for row in obj["z_scan"]:
+            if row["verdict"] == GREATER_EQUAL:
+                tally["strict"].append((obj["u"], obj["v"], row["z"], obj["simple"]))
+
+
 @pytest.mark.skipif(
     os.environ.get("BRUHAT_LONG_TESTS") != "1",
     reason="the full S_6 run takes minutes: set BRUHAT_LONG_TESTS=1 to run it",
 )
 def test_full_s6_verification_opt_in():
-    # every interval of S_6, standard decomposition only, through the CLI;
-    # the report stream is read as it arrives, never held whole
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "bruhat_hypercubes", "verify", "6", "--json"],
-        stdout=subprocess.PIPE,
-        text=True,
-        env=subprocess_env(),
+    # every z of every interval of S_6 (verify 6 --exhaustive-z), through the
+    # CLI as two shards side by side; the streams are read as they arrive,
+    # never held.  The counts were first taken at fc7d326, where every
+    # interval was scanned from v and every cluster built afresh.
+    start = time.monotonic()
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "bruhat_hypercubes", "verify", "6", "--exhaustive-z"]
+            + ["--json", "--shard", f"{k}/2"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=subprocess_env(),
+        )
+        for k in (1, 2)
+    ]
+    keys = ("reports", "counterexamples", "strong", "simple", "simple_strong", "simple_equal")
+    tallies = [{**dict.fromkeys(keys, 0), "strict": [], "summary": None} for _ in procs]
+    readers = [
+        threading.Thread(target=_tally_s6_stream, args=(proc.stdout, tally))
+        for proc, tally in zip(procs, tallies)
+    ]
+    for reader in readers:
+        reader.start()
+    peak_mb = []
+    for proc, reader in zip(procs, readers):
+        reader.join()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        peak_mb.append(usage.ru_maxrss / 1024)  # KiB on Linux
+    wall = time.monotonic() - start
+
+    def total(key):
+        return sum(tally[key] for tally in tallies)
+
+    assert total("reports") == 98407
+    assert sum(t["summary"]["intervals"] for t in tallies) == 98407
+    assert total("counterexamples") == 0
+    assert sum(t["summary"]["counterexamples"] for t in tallies) == 0
+    assert total("strong") == 1_163_182
+    # simple intervals: every strong z gives equality
+    assert total("simple") == 72_873
+    assert total("simple_strong") == total("simple_equal") == 767_441
+    strict = [row for tally in tallies for row in tally["strict"]]
+    assert not any(simple for *_, simple in strict)
+    assert {row[:3] for row in strict} == STRICT_S6 and len(strict) == 9
+    print(
+        f"\nS_6 exhaustive: 98407 intervals, 1163182 strong z, 9 strict,"
+        f" 0 counterexamples in {wall:.0f}s on 2 shards,"
+        f" peak RSS {max(peak_mb):.1f} MB per shard"
     )
-    reports, summary = 0, None
-    for line in proc.stdout:
-        obj = json.loads(line)
-        if "summary" in obj:
-            summary = obj["summary"]
-        else:
-            reports += 1
-            assert obj["counterexamples"] == [], obj
-    assert proc.wait() == 0
-    assert reports == 98407
-    assert summary["intervals"] == 98407 and summary["counterexamples"] == 0
-    print(f"\nS_6: {reports} intervals, 0 counterexamples in {summary['seconds']}s")

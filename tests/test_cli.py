@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bruhat_hypercubes import cli
+from bruhat_hypercubes import cli, intervals
 from bruhat_hypercubes.intervals import build_interval
 from bruhat_hypercubes.perms import format_perm
 from bruhat_hypercubes.polynomials import rtilde_from_r
@@ -269,14 +269,16 @@ def test_verify_iso_classes_builds_each_interval_once(capsys, monkeypatch):
     calls = []
     real = cli.build_interval
 
-    def counting(u, v):
-        calls.append((u, v))
-        return real(u, v)
+    def counting(u, v, group=None):
+        calls.append((u, v, group))
+        return real(u, v, group)
 
     monkeypatch.setattr(cli, "build_interval", counting)
     code, _, _ = run(capsys, "verify", "3", "--iso-classes")
     assert code == 0
     assert len(calls) == 19  # the comparable pairs of S_3, each built once
+    # and each read off the one order of S_3
+    assert {id(group) for _, _, group in calls} == {id(intervals.bruhat_order(3))}
 
 
 def test_verify_rejects_an_empty_shard(capsys):

@@ -344,6 +344,90 @@ def test_standard_clusters_satisfy_the_axioms_s6():
     assert checked == 500
 
 
+def test_restricted_clusters_equal_fresh_builds_s5(monkeypatch):
+    # the exhaustive scan of every S_5 interval, through cli.analyze_interval:
+    # every cluster it restricts instead of building equals build_cluster at
+    # that z, images in the same order, and passes the axiom oracle
+    from bruhat_hypercubes import cli
+
+    at: dict = {}
+    real_check, real_restrict = cli.check_strong_hcd, hypercubes.restrict_cluster
+
+    def check(iv, z, known=None):
+        at.update(iv=iv, z=z)
+        return real_check(iv, z, known)
+
+    def restrict(cluster, frontier):
+        iv, z = at["iv"], at["z"]
+        got = real_restrict(cluster, frontier)
+        want = build_cluster(iv, z, cluster.base)
+        assert got.frontier == want.frontier
+        assert list(got.images.items()) == list(want.images.items())
+        check_cluster_axioms(iv, iv.down_mask[z], got)
+        restricted.append(got.frontier.bit_count())
+        return got
+
+    restricted: list[int] = []
+    monkeypatch.setattr(cli, "check_strong_hcd", check)
+    monkeypatch.setattr(hypercubes, "restrict_cluster", restrict)
+    for u, v in comparable_pairs(5):
+        cli.analyze_interval(build_interval(u, v), True)
+    # not vacuous: about half the reuses keep a non-empty frontier
+    assert len(restricted) == 84_809
+    assert sum(k > 0 for k in restricted) == 44_309
+
+
+def mask_bits_subsets(mask):
+    members = list(mask_bits(mask))
+    for k in range(len(members) + 1):
+        for chosen in itertools.combinations(members, k):
+            yield sum(1 << j for j in chosen)
+
+
+def test_restriction_keeps_the_antichains_inside_the_frontier():
+    # [1324, 4231]: the cluster at u is the 4-cube on its atoms, so every
+    # subset of the frontier is one to restrict to
+    iv = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
+    full = build_cluster(iv, 0, 0)
+    assert len(full.images) == 16
+    assert hypercubes.restrict_cluster(full, full.frontier) == full
+    for frontier in mask_bits_subsets(full.frontier):
+        got = hypercubes.restrict_cluster(full, frontier)
+        assert got.base == 0 and got.frontier == frontier
+        # every subset of F, in build_cluster's (size, mask) order
+        inside = sorted(mask_bits_subsets(frontier), key=lambda y: (y.bit_count(), y))
+        assert list(got.images) == inside
+        assert all(got.images[y] == full.images[y] for y in inside)
+
+
+def test_check_strong_hcd_reuses_only_covering_clusters():
+    # a kept cluster is reused exactly when its frontier covers the one the
+    # ideal leaves; otherwise the cluster is built, and kept
+    iv = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
+    z = iv.size - 1  # [u, v] itself: every frontier is empty
+    x = 0
+    own = build_cluster(iv, 0, x)
+    known = {x: [own]}
+    chk = check_strong_hcd(iv, z, known)
+    assert chk.ok
+    assert chk.decomposition.clusters[x].images == {0: x}
+    assert known[x] == [own]  # restricted, so nothing new kept
+    for y in mask_bits(iv.down_mask[z] & ~1):
+        assert len(known[y]) == 1  # every other base was built and kept
+    plain = check_strong_hcd(iv, z)
+    assert plain.decomposition.clusters == chk.decomposition.clusters
+
+    # [u, a] for an atom a leaves u three of its four atoms; [u, u] needs
+    # all four, which that cluster does not cover
+    a = next(mask_bits(iv.out_mask[0]))
+    small = build_cluster(iv, a, x)
+    known = {x: [small]}
+    chk = check_strong_hcd(iv, 0, known)
+    assert chk.ok and len(known[x]) == 2 and known[x][0] is small
+    assert chk.decomposition.clusters[x] is known[x][1]
+    assert known[x][1] == build_cluster(iv, 0, x)
+
+
 def test_is_strong_hcd_examples():
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
     assert check_strong_hcd(ivh, 0).ok

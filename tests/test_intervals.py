@@ -112,6 +112,48 @@ def test_comparable_pairs_are_read_off_the_group_interval():
     assert len(tuple(intervals.comparable_pairs(6))) == 98407
 
 
+FIELDS = ("bottom", "top", "elements", "index", "rank", "out_mask", "up_mask", "down_mask")
+
+
+def test_projection_off_the_group_equals_the_scan():
+    # all of S_5 and every 97th pair of S_6: [u, v] read off [e, w0] is the
+    # interval the reflection scan builds, field by field
+    checked = 0
+    for n, step in ((5, 1), (6, 97)):
+        group = intervals.bruhat_order(n)
+        for u, v in comparable_pairs(n)[::step]:
+            projected, scanned = build_interval(u, v, group), build_interval(u, v)
+            for name in FIELDS:
+                assert getattr(projected, name) == getattr(scanned, name), (u, v, name)
+            checked += 1
+    assert checked == 3781 + 1015
+
+
+def test_projection_rejects_what_the_scan_rejects():
+    group = intervals.bruhat_order(4)
+    assert intervals.bruhat_order(4) is group  # built once per n
+    incomparable = [
+        (u, v)
+        for u in all_perms(4)
+        for v in all_perms(4)
+        if not reachability_leq(4)[(u, v)]
+    ]
+    assert len(incomparable) == 24 * 24 - 213
+    for u, v in incomparable:
+        with pytest.raises(EmptyIntervalError):
+            build_interval(u, v, group)
+        with pytest.raises(EmptyIntervalError):
+            build_interval(u, v)
+    u, v = (1, 2, 3, 4), (2, 1, 4, 3)
+    for other in (intervals.bruhat_order(3), intervals.bruhat_order(5), build_interval(u, v)):
+        # another degree, or not the whole group
+        with pytest.raises(ValueError) as err:
+            build_interval(u, v, other)
+        assert not isinstance(err.value, EmptyIntervalError)
+    with pytest.raises(ValueError):
+        build_interval(u, (2, 1, 3), group)  # a pair of mixed degree
+
+
 def test_unique_min_max_and_chain_connectivity():
     for u, v in comparable_pairs(4)[::7]:
         iv = build_interval(u, v)
