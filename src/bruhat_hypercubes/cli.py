@@ -89,19 +89,14 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
 
     if exhaustive_z:
         scan = []
-        # the clusters of this interval that succeeded, by base: a later z
+        # the clusters of this interval that succeeded, by base: every z
         # restricts one whose frontier covers its own instead of building
         known = {} if hcd is None else {x: [c] for x, c in hcd.clusters.items()}
         for z in range(iv.size):
-            if hcd is not None and z == hcd.z:
-                # standard_hcd returned check_strong_hcd's decomposition at
-                # this z: its H~ is this row's
-                ok, reason, h = True, None, standard_h
-            else:
-                check = check_strong_hcd(iv, z, known)
-                ok = check.ok
-                reason = None if ok else f"{check.failed_axiom}: {check.reason}"
-                h = htilde(iv, check.decomposition) if ok else None
+            check = check_strong_hcd(iv, z, known)
+            ok = check.ok
+            reason = None if ok else f"{check.failed_axiom}: {check.reason}"
+            h = htilde(iv, check.decomposition) if ok else None
             row: dict = {
                 "z": format_perm(iv.elements[z]),
                 "strong": ok,

@@ -27,9 +27,10 @@ antichain, so a cluster on a frontier F restricts to a cluster on every
 F' inside F: a scan over z keeps the clusters it built and restricts one
 whose frontier covers the next z's instead of building again.  Ideals,
 frontiers and antichains are bitmasks over the interval's element indices,
-and diamonds are plain (x1, x2, x3, x4) tuples of them.  HD2 for every
-[u, z] at once is one mask per interval, BruhatInterval.unclosed_tops: the
-OR over the diamonds of the z above x2 and x3 but not above x4.
+and diamonds are plain (x1, x2, x3, x4) tuples of them.  HD2 is decided
+inside [u, z]: a lower set holds three vertices of a diamond only as x1,
+x2 and x3, so it fails iff two members with a common in-neighbour have a
+common out-neighbour outside it.
 """
 
 from __future__ import annotations
@@ -81,12 +82,30 @@ def diamond_closure(iv: BruhatInterval, mask: int) -> int:
 
 
 def is_diamond_closed(iv: BruhatInterval, mask: int) -> bool:
+    """True iff no diamond has exactly three vertices in mask, for any mask:
+    a scan of every diamond, the oracle of the lower-set test of HD2."""
     for x1, x2, x3, x4 in iv.diamonds:
         present = (
             (mask >> x1 & 1) + (mask >> x2 & 1) + (mask >> x3 & 1) + (mask >> x4 & 1)
         )
         if present == 3:
             return False
+    return True
+
+
+def _closed_lower_set(iv: BruhatInterval, ideal: int) -> bool:
+    """is_diamond_closed for a lower set (see the module docstring): False
+    at the first x3 in some out_mask[x1] & ideal that shares an
+    out-neighbour outside the set with an earlier x2 there."""
+    out_mask = iv.out_mask
+    outside = ~ideal
+    for x1 in bits(ideal):
+        seen = 0  # out-neighbours outside the set of the x2 so far
+        for x3 in bits(out_mask[x1] & ideal):
+            leaving = out_mask[x3] & outside
+            if leaving & seen:
+                return False
+            seen |= leaving
     return True
 
 
@@ -223,10 +242,7 @@ def check_strong_hcd(
     known: Optional[dict[int, list[HypercubeCluster]]] = None,
 ) -> HcdCheck:
     """Check HD1-HD3 for the ideal [u, z]; on success the decomposition is
-    returned inside the check result.
-
-    HD2 is bit z of the interval's mask of unclosed tops
-    (BruhatInterval.unclosed_tops), which is computed once for all z.
+    returned inside the check result.  HD2 is decided inside [u, z] alone.
 
     known, if given, maps a base x to clusters of this interval that
     succeeded at x, and is kept up to date: a cluster at x whose frontier
@@ -237,7 +253,7 @@ def check_strong_hcd(
     if not 0 <= z < iv.size:
         raise ValueError(f"z = {z} is not an element index of the interval")
     ideal = iv.down_mask[z]
-    if iv.unclosed_tops >> z & 1:
+    if not _closed_lower_set(iv, ideal):
         return HcdCheck(False, "HD2", f"[u, {format_perm(iv.elements[z])}] is not diamond-closed")
     if known is None:
         known = {}
@@ -375,7 +391,7 @@ def coset_ideal_form(iv: BruhatInterval, mask: int) -> tuple[tuple[int, ...], ..
     for x in bits(mask):
         if iv.down_mask[x] & ~mask:
             raise ValueError("ideal is not a lower set")
-    if not is_diamond_closed(iv, mask):
+    if not _closed_lower_set(iv, mask):
         raise ValueError("ideal is not diamond-closed")
 
     comp = root_forest(iv.n, (t for j, t in atom_indices(iv) if mask >> j & 1))

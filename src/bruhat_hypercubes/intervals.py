@@ -91,22 +91,10 @@ class BruhatInterval:
 
     @cached_property
     def diamonds(self):
+        """Every diamond of the Bruhat graph (enumerate_diamonds)."""
         from .hypercubes import enumerate_diamonds
 
         return enumerate_diamonds(self)
-
-    @cached_property
-    def unclosed_tops(self) -> int:
-        """The bitmask of the z for which [u, z] is not diamond-closed.
-
-        A lower set meets a diamond (x1, x2, x3, x4) in exactly three
-        vertices iff it holds x2 and x3 but not x4, so [u, z] fails exactly
-        when z lies above x2 and x3 but not above x4."""
-        up = self.up_mask
-        mask = 0
-        for _, x2, x3, x4 in self.diamonds:
-            mask |= up[x2] & up[x3] & ~up[x4]
-        return mask
 
     @cached_property
     def poset(self) -> "AbstractPoset":

@@ -142,15 +142,15 @@ def test_is_diamond_closed_examples():
     )
 
 
-def test_unclosed_tops_against_is_diamond_closed():
+def test_closed_lower_set_against_is_diamond_closed():
+    # HD2's test, read inside [u, z], against the scan of every diamond
     checked = unclosed = 0
     for u, v in comparable_pairs(5) + comparable_pairs(6)[::97]:
         iv = build_interval(u, v)
-        mask = iv.unclosed_tops
-        assert mask >> iv.size == 0
         for z in range(iv.size):
-            expected = not is_diamond_closed(iv, iv.down_mask[z])
-            assert bool(mask >> z & 1) == expected, (u, v, z)
+            ideal = iv.down_mask[z]
+            expected = not is_diamond_closed(iv, ideal)
+            assert hypercubes._closed_lower_set(iv, ideal) != expected, (u, v, z)
             checked += 1
             unclosed += expected
     # every z of 3,781 S_5 and 1,015 S_6 intervals; both verdicts occur
@@ -373,8 +373,8 @@ def test_restricted_clusters_equal_fresh_builds_s5(monkeypatch):
     for u, v in comparable_pairs(5):
         cli.analyze_interval(build_interval(u, v), True)
     # not vacuous: about half the reuses keep a non-empty frontier
-    assert len(restricted) == 84_809
-    assert sum(k > 0 for k in restricted) == 44_309
+    assert len(restricted) == 102_943
+    assert sum(k > 0 for k in restricted) == 62_443
 
 
 def mask_bits_subsets(mask):
@@ -615,6 +615,18 @@ def test_coset_ideal_form_examples():
     assert blocks == ((1,), (2, 3))
     with pytest.raises(ValueError):
         coset_ideal_form(build_interval((1, 3, 2, 4), (4, 2, 3, 1)), 1)
+
+
+def test_coset_ideal_form_rejects_what_is_not_a_diamond_closed_ideal():
+    iv = build_interval(identity(3), longest_element(3))
+    s1, s2 = iv.index[(2, 1, 3)], iv.index[(1, 3, 2)]
+    # {213} leaves out 123 below it
+    with pytest.raises(ValueError, match="not a lower set"):
+        coset_ideal_form(iv, 1 << s1)
+    # {123, 213, 132} is a lower set holding three vertices of the
+    # diamonds 123 -> {213, 132} -> 231 and 312
+    with pytest.raises(ValueError, match="not diamond-closed"):
+        coset_ideal_form(iv, 1 | 1 << s1 | 1 << s2)
 
 
 def test_coset_form_of_every_dc_ideal_in_simple_s4_intervals():
