@@ -18,7 +18,7 @@ import itertools
 import json
 import sys
 import time
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import EmptyIntervalError
 from .hypercubes import (
@@ -329,6 +329,132 @@ def _parse_shard(text: Optional[str]) -> tuple[int, int]:
     return (k, m)
 
 
+def _parse_jobs(text: Optional[str]) -> int:
+    """--jobs: a positive integer, capped at the CPU count, and 1 where
+    os.fork is missing.  By default, every CPU this process may use; but 1
+    when a profiler, a debugger, or a wrapper put on a function of this
+    module since import (a tracer's, a test's) is watching: such an
+    observer sees only the process it runs in."""
+    import os
+
+    cpus = os.cpu_count() or 1
+    if text is None:
+        watched = sys.getprofile() or sys.gettrace() or any(
+            globals()[name] is not fn for name, fn in _AS_IMPORTED.items()
+        )
+        usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(cpus)
+        jobs = 1 if watched else len(usable)
+    else:
+        try:
+            jobs = int(text)
+        except ValueError:
+            jobs = 0
+        if jobs < 1:
+            raise ValueError(f"--jobs expects a positive integer, got {text!r}")
+    return min(jobs, cpus) if hasattr(os, "fork") else 1
+
+
+def _verify_pair(u: Perm, v: Perm, group: Optional[BruhatInterval], args) -> tuple:
+    """One interval of a verify sweep: its counterexample messages, its
+    report line, and for --iso-classes its (signature, (u, v, poset, P))."""
+    iv = build_interval(u, v, group)
+    report = analyze_interval(iv, args.exhaustive_z)
+    if args.json:
+        line = json.dumps(report, sort_keys=True)
+    else:
+        std = report["standard"]
+        line = (
+            f"[{report['u']}, {report['v']}] size={report['size']}"
+            f" simple={str(report['simple']).lower()}"
+        )
+        if std:
+            line += f" standard: H{'=' if std['verdict'] == EQUAL else '!'}=R~"
+        if args.exhaustive_z:
+            c = report["counts"]
+            line += f" strong={c['strong']} equal={c['equal']} strict={c['strict']}"
+        if report["counterexamples"]:
+            line += " COUNTEREXAMPLE"
+    iso = None
+    if args.iso_classes:
+        iso = (iso_signature(iv.poset), (u, v, iv.poset, kl_poly(u, v)))
+    return report["counterexamples"], line, iso
+
+
+def _forked_results(n: int, start: int, step: int, jobs: int, task: Callable) -> Iterator:
+    """task(u, v) over islice(comparable_pairs(n), start, None, step), in
+    that order, computed by jobs forked workers.  Worker w takes every
+    jobs-th of those pairs from the w-th on and pickles each result onto its
+    own pipe; the results are read back round-robin.  An exception in a
+    worker is raised here, at its place in the order.  On every way out, the
+    pipes are closed and every worker is killed and reaped."""
+    import os
+    import pickle
+    import signal
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    parent = os.getpid()
+    pipes = [os.pipe() for _ in range(jobs)]
+    pids: list[int] = []
+    readers: list = []
+    try:
+        for w in range(jobs):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    # a worker keeps its own write end and nothing else, so
+                    # a parent killed mid-sweep leaves no one holding its
+                    # pipes or its stdout
+                    for fd in itertools.chain.from_iterable(pipes):
+                        if fd != pipes[w][1]:
+                            os.close(fd)
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+                    with os.fdopen(pipes[w][1], "wb") as out:
+                        mine = itertools.islice(
+                            comparable_pairs(n), start + w * step, None, jobs * step
+                        )
+                        for u, v in mine:
+                            if os.getppid() != parent:
+                                break
+                            try:
+                                result = task(u, v)
+                            except Exception as exc:
+                                out.write(pickle.dumps(exc))
+                                break
+                            out.write(pickle.dumps(result))
+                            out.flush()
+                        else:
+                            out.write(pickle.dumps(None))  # no pair left
+                finally:
+                    # no traceback, no atexit handler and no buffered output
+                    # a second time: a broken pipe or a lost parent ends a
+                    # worker quietly
+                    os._exit(0)
+            pids.append(pid)
+        while pipes:
+            r, wr = pipes.pop(0)
+            os.close(wr)
+            readers.append(os.fdopen(r, "rb"))
+        for i in itertools.count():
+            try:
+                result = pickle.load(readers[i % jobs])
+            except EOFError:  # no end marker: the worker was killed
+                raise RuntimeError(f"verify worker {i % jobs} ended early") from None
+            if result is None:
+                return
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+    finally:
+        for fd in itertools.chain.from_iterable(pipes):
+            os.close(fd)
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_verify(args) -> int:
     n = args.n
     if not 2 <= n <= 7:
@@ -338,6 +464,7 @@ def cmd_verify(args) -> int:
     if args.iso_classes and shard_m > 1:
         # a shard would group only its own intervals, splitting classes
         raise ValueError("--iso-classes cannot be combined with --shard K/M, M > 1")
+    jobs = _parse_jobs(args.jobs)
     start = time.monotonic()
 
     if args.interval:
@@ -352,36 +479,26 @@ def cmd_verify(args) -> int:
         pairs = comparable_pairs(n)
         group = bruhat_order(n)  # built by comparable_pairs, and kept
 
+    def task(u: Perm, v: Perm) -> tuple:
+        return _verify_pair(u, v, group, args)
+
+    if jobs > 1 and not args.interval:
+        results = _forked_results(n, shard_k - 1, shard_m, jobs, task)
+    else:
+        results = (task(u, v) for u, v in itertools.islice(pairs, shard_k - 1, None, shard_m))
     reported = failures = 0
     iso_groups: dict = {}
-    for u, v in itertools.islice(pairs, shard_k - 1, None, shard_m):
-        reported += 1
-        iv = build_interval(u, v, group)
-        report = analyze_interval(iv, args.exhaustive_z)
-        failures += len(report["counterexamples"])
-        for message in report["counterexamples"]:
-            print(f"COUNTEREXAMPLE: {message}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(report, sort_keys=True))
-        else:
-            std = report["standard"]
-            line = (
-                f"[{report['u']}, {report['v']}] size={report['size']}"
-                f" simple={str(report['simple']).lower()}"
-            )
-            if std:
-                line += f" standard: H{'=' if std['verdict'] == EQUAL else '!'}=R~"
-            if args.exhaustive_z:
-                c = report["counts"]
-                line += (
-                    f" strong={c['strong']} equal={c['equal']} strict={c['strict']}"
-                )
-            if report["counterexamples"]:
-                line += " COUNTEREXAMPLE"
+    try:
+        for messages, line, iso in results:
+            reported += 1
+            failures += len(messages)
+            for message in messages:
+                print(f"COUNTEREXAMPLE: {message}", file=sys.stderr)
             print(line)
-        if args.iso_classes:
-            key = iso_signature(iv.poset)
-            iso_groups.setdefault(key, []).append((u, v, iv.poset, kl_poly(u, v)))
+            if iso:
+                iso_groups.setdefault(iso[0], []).append(iso[1])
+    finally:
+        results.close()
     if not reported and pairs:
         # pairs is empty only for an incomparable --interval; otherwise the
         # shard left everything out, and nothing was printed yet, so the
@@ -498,6 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shard", help="K/M: process the K-th of M slices")
     sp.add_argument("--interval", nargs=2, metavar=("U", "V"))
     sp.add_argument("--json", action="store_true")
+    sp.add_argument(
+        "--jobs",
+        metavar="N",
+        help="worker processes (default: every CPU this process may use)",
+    )
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -515,6 +637,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, EmptyIntervalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+
+
+# the functions of this module as imported, for _parse_jobs to tell whether
+# one has been wrapped since
+_AS_IMPORTED = {name: fn for name, fn in globals().items() if callable(fn)}
 
 
 if __name__ == "__main__":

@@ -211,8 +211,11 @@ def restrict_cluster(cluster: HypercubeCluster, frontier: int) -> HypercubeClust
     Every check build_cluster makes is local to one antichain, or to one
     pair of extensions of it, so a cluster on F is a cluster on every
     F' inside F, with theta restricted to the antichains inside F'.  The
-    images keep their (size, mask) order, which is build_cluster's."""
+    images keep their (size, mask) order, which is build_cluster's.  On
+    the same frontier the cluster itself is returned, uncopied."""
     outside = cluster.frontier & ~frontier
+    if not outside:
+        return cluster
     images = {y: img for y, img in cluster.images.items() if not y & outside}
     return HypercubeCluster(base=cluster.base, frontier=frontier, images=images)
 

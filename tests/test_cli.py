@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from bruhat_hypercubes import cli, intervals
+from bruhat_hypercubes.errors import InvariantViolation
 from bruhat_hypercubes.intervals import build_interval
 from bruhat_hypercubes.perms import format_perm
 from bruhat_hypercubes.polynomials import rtilde_from_r
@@ -274,7 +279,8 @@ def test_verify_iso_classes_builds_each_interval_once(capsys, monkeypatch):
         return real(u, v, group)
 
     monkeypatch.setattr(cli, "build_interval", counting)
-    code, _, _ = run(capsys, "verify", "3", "--iso-classes")
+    # in process: the calls are counted here, not in forked workers
+    code, _, _ = run(capsys, "verify", "3", "--iso-classes", "--jobs", "1")
     assert code == 0
     assert len(calls) == 19  # the comparable pairs of S_3, each built once
     # and each read off the one order of S_3
@@ -305,6 +311,11 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+# the "u v z reason" lines of every z-scan row of S_5, in stream order,
+# recorded at f113ed4
+S5_REASONS_SHA256 = "2e7af967101d6f1916c5e49b88b6637046a1035865f878e2efb817d21432568e"
+
+
 def test_z_scan_rows_match_the_per_z_oracle_s5():
     # every row of every S_5 interval, the standard z's reused row included,
     # against HD2 by a scan of the diamonds and HD3 by build_cluster per x
@@ -332,17 +343,18 @@ def test_z_scan_rows_match_the_per_z_oracle_s5():
     assert rows == 52_800
     assert reused == 3_781 - 120  # every interval but the 120 points
     assert set(axioms) == {"ok", "HD2", "HD3"}
-    assert reasons.hexdigest() == (
-        "2e7af967101d6f1916c5e49b88b6637046a1035865f878e2efb817d21432568e"
-    )
+    assert reasons.hexdigest() == S5_REASONS_SHA256
+
+
+SHARD_5_OF_16 = json.loads(
+    (Path(__file__).parent / "refs" / "verify5_exhaustive_z_shard5of16.json").read_text()
+)
 
 
 def test_verify_5_exhaustive_z_stream_is_pinned(capsys):
     # per-line sha256 of the --json stream, recorded at c29ab02, with the
     # wall-clock seconds of the summary left out
-    ref = json.loads(
-        (Path(__file__).parent / "refs" / "verify5_exhaustive_z_shard5of16.json").read_text()
-    )
+    ref = SHARD_5_OF_16
     code, out, _ = run(capsys, *ref["argv"])
     assert code == 0
     digests = []
@@ -353,3 +365,211 @@ def test_verify_5_exhaustive_z_stream_is_pinned(capsys):
             line = json.dumps(obj, sort_keys=True)
         digests.append(hashlib.sha256(line.encode()).hexdigest())
     assert digests == ref["sha256"]
+
+
+# ---------------------------------------------------------------------------
+# --jobs: forked workers, merged back into the serial stream
+
+# the summary's wall-clock seconds, in --json and in text
+SECONDS = re.compile(r'(?<="seconds": )[0-9.]+|(?<= in )[0-9.]+(?=s$)', re.M)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids verify forks, with up to four jobs honoured on any host."""
+    pids: list[int] = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def run_at_jobs(capsys, forks, argv, jobs="2"):
+    """(code, stdout, stderr) of verify at --jobs 1 and at --jobs J, with the
+    summary's seconds masked; J workers must have been forked, and reaped."""
+    got = []
+    for j in ("1", jobs):
+        del forks[:]
+        code, out, err = run(capsys, *argv, "--jobs", j)
+        assert len(forks) == (0 if j == "1" else int(j))
+        assert_reaped(forks)
+        got.append((code, SECONDS.sub("0", out), err))
+    return got
+
+
+@pytest.mark.parametrize(
+    "argv, jobs",
+    [
+        (["verify", "5", "--iso-classes", "--json"], "2"),
+        (["verify", "4", "--exhaustive-z"], "2"),  # text mode
+        (["verify", "5", "--json", "--shard", "3/7"], "2"),
+        (["verify", "2", "--json"], "4"),  # fewer pairs than workers
+    ],
+)
+def test_jobs_keep_the_serial_stream(capsys, forks, argv, jobs):
+    serial, forked = run_at_jobs(capsys, forks, argv, jobs)
+    assert forked == serial
+    assert serial[0] == 0 and serial[1].count("\n") > 3
+
+
+def test_verify_5_exhaustive_z_at_two_jobs_matches_the_pins(capsys, forks):
+    serial, forked = run_at_jobs(capsys, forks, ["verify", "5", "--exhaustive-z", "--json"])
+    assert forked == serial
+    code, out, err = forked
+    assert code == 0 and err == ""
+    *lines, summary = out.splitlines()
+    assert json.loads(summary)["summary"]["intervals"] == len(lines) == 3781
+    # shard 5/16 is every 16th line from the 5th: its pinned digests
+    digests = [hashlib.sha256(line.encode()).hexdigest() for line in lines[4::16]]
+    assert digests == SHARD_5_OF_16["sha256"][:-1]
+    reasons = hashlib.sha256()
+    for report in map(json.loads, lines):
+        for row in report["z_scan"]:
+            reasons.update(f"{report['u']} {report['v']} {row['z']} {row['reason']}\n".encode())
+    assert reasons.hexdigest() == S5_REASONS_SHA256
+
+
+@pytest.mark.parametrize("k", [6, 7])  # pairs of worker 0 and of worker 1
+def test_a_failure_keeps_its_place_at_two_jobs(capsys, monkeypatch, forks, k):
+    target = comparable_pairs(4)[k]
+    real = cli.analyze_interval
+
+    def failing(iv, exhaustive_z):
+        if (iv.bottom, iv.top) == target:
+            raise InvariantViolation(f"planted at pair {k}")
+        return real(iv, exhaustive_z)
+
+    monkeypatch.setattr(cli, "analyze_interval", failing)
+    seen = []
+    for jobs in ("1", "2"):
+        del forks[:]
+        with pytest.raises(InvariantViolation, match=f"^planted at pair {k}$"):
+            cli.main(["verify", "4", "--json", "--jobs", jobs])
+        assert len(forks) == (0 if jobs == "1" else 2)
+        assert_reaped(forks)
+        seen.append(capsys.readouterr())
+    assert seen[1] == seen[0]
+    assert len(seen[0].out.splitlines()) == k  # the reports before pair k
+
+
+def test_a_worker_that_dies_fails_the_sweep(capsys, monkeypatch, forks):
+    # a worker killed mid-sweep ends its pipe without an end marker: that
+    # is an error at its place in the stream, never a shorter stream
+    target = comparable_pairs(4)[7]
+    real = cli.analyze_interval
+
+    def dying(iv, exhaustive_z):
+        if (iv.bottom, iv.top) == target:
+            os._exit(9)  # only ever in a forked worker: --jobs 2 below
+        return real(iv, exhaustive_z)
+
+    monkeypatch.setattr(cli, "analyze_interval", dying)
+    with pytest.raises(RuntimeError, match="^verify worker 1 ended early$"):
+        cli.main(["verify", "4", "--json", "--jobs", "2"])
+    assert len(forks) == 2
+    assert_reaped(forks)
+    assert len(capsys.readouterr().out.splitlines()) == 7
+
+
+def test_counterexample_exit_code_at_two_jobs(capsys, monkeypatch, forks):
+    # the twin of test_counterexample_exit_code: every interval u < v of S_3
+    # is a counterexample, echoed on stderr in stream order
+    from bruhat_hypercubes.polynomials import qp_add
+
+    real = cli.htilde
+    monkeypatch.setattr(cli, "htilde", lambda iv, hcd: qp_add(real(iv, hcd), (1,)))
+    serial, forked = run_at_jobs(capsys, forks, ["verify", "3", "--json"])
+    assert forked == serial
+    code, out, err = forked
+    assert code == 2
+    reports = [json.loads(line) for line in out.splitlines()[:-1]]
+    named = re.findall(r"^COUNTEREXAMPLE: standard decomposition of \[(\w+), (\w+)\]", err, re.M)
+    assert named == [(r["u"], r["v"]) for r in reports if r["u"] != r["v"]]
+    assert len(named) == 19 - 6
+
+
+def test_a_killed_verify_leaves_no_worker():
+    # the parent is killed at its first report, as a set-up probe kills it:
+    # its workers must let go of stdout and stderr and end, quietly
+    script = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2  # two workers on any host\n"
+        "from bruhat_hypercubes import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["verify", "5", "--exhaustive-z", "--json", "--jobs", "2"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=subprocess_env(),
+        start_new_session=True,
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["u"] == "12345"
+    finally:
+        os.kill(proc.pid, signal.SIGKILL)
+    _, err = proc.communicate(timeout=5)  # EOF on both: no worker holds them
+    assert err == ""
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a worker outlived its parent"
+        time.sleep(0.05)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "x", "", " ", "1.5"])
+def test_verify_rejects_a_bad_jobs_count_before_forking(capsys, forks, jobs):
+    code, out, err = run(capsys, "verify", "3", f"--jobs={jobs}")
+    assert code == 1
+    assert err.startswith("error:") and out == ""
+    assert forks == []
+
+
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._parse_jobs("2") == 2
+    assert cli._parse_jobs("8") == 3
+    assert cli._parse_jobs("1") == 1
+    # by default, the CPUs this process may use, within the CPU count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._parse_jobs(None) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert cli._parse_jobs(None) == 3
+    # without os.fork, everything runs in process
+    monkeypatch.delattr(os, "fork")
+    assert cli._parse_jobs("2") == cli._parse_jobs(None) == 1
+
+
+def test_default_jobs_stay_in_process_under_an_observer(monkeypatch):
+    # a profiler, or a wrapper put on a function of cli, sees only the
+    # process it runs in, so by default verify does not fork under one
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._parse_jobs(None) == 2
+    sys.setprofile(lambda *a: None)
+    try:
+        assert cli._parse_jobs(None) == 1
+    finally:
+        sys.setprofile(None)
+    real = cli.build_interval
+    monkeypatch.setattr(cli, "build_interval", lambda *a: real(*a))
+    assert cli._parse_jobs(None) == 1
+    assert cli._parse_jobs("2") == 2  # a count asked for is kept

@@ -78,12 +78,14 @@ sys.exit(3)
 
     run("-O", "-c", script)
 
-    def stream(*flags: str) -> tuple:
-        proc = run(*flags, "-m", "bruhat_hypercubes", "verify", "4", "--exhaustive-z", "--json")
+    def stream(*flags: str, jobs: str = "1") -> tuple:
+        argv = ["verify", "4", "--exhaustive-z", "--json", "--jobs", jobs]
+        proc = run(*flags, "-m", "bruhat_hypercubes", *argv)
         *reports, summary = proc.stdout.splitlines()
         assert len(reports) == len(comparable_pairs(4))
         summary = json.loads(summary)
         del summary["summary"]["seconds"]
         return reports, summary
 
-    assert stream("-O") == stream()
+    # and in forked workers (two, where the host has two CPUs)
+    assert stream("-O", jobs="2") == stream("-O") == stream()
