@@ -67,7 +67,7 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
         "counterexamples": [],
     }
     counts = {"strong": 0, "equal": 0, "strict": 0}
-    hcd = None
+    hcd = standard_h = None
     if u != v:
         hcd = standard_hcd(iv)
         standard_h = htilde(iv, hcd)
@@ -96,7 +96,12 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
             check = check_strong_hcd(iv, z, known)
             ok = check.ok
             reason = None if ok else f"{check.failed_axiom}: {check.reason}"
-            h = htilde(iv, check.decomposition) if ok else None
+            if not ok:
+                h = None
+            elif hcd is not None and z == hcd.z:
+                h = standard_h
+            else:
+                h = htilde(iv, check.decomposition)
             row: dict = {
                 "z": format_perm(iv.elements[z]),
                 "strong": ok,

@@ -1,7 +1,7 @@
 """
-Diamonds, diamond closures, strong hypercube clusters and decompositions,
-the standard decomposition, the H-tilde polynomial, simplicity, coset form
-of diamond-closed ideals, and special matchings.
+Diamonds, strong hypercube clusters and decompositions, the standard
+decomposition, the H-tilde polynomial, simplicity, coset form of
+diamond-closed ideals, and special matchings.
 
 Terminology, relative to an interval [u, v] and a lower ideal I:
 
@@ -64,39 +64,11 @@ def enumerate_diamonds(iv: BruhatInterval) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def diamond_closure(iv: BruhatInterval, mask: int) -> int:
-    """Smallest superset of mask closed under completing diamonds with three
-    vertices present."""
-    diamonds = iv.diamonds
-    changed = True
-    while changed:
-        changed = False
-        for x1, x2, x3, x4 in diamonds:
-            present = (
-                (mask >> x1 & 1) + (mask >> x2 & 1) + (mask >> x3 & 1) + (mask >> x4 & 1)
-            )
-            if present == 3:
-                mask |= (1 << x1) | (1 << x2) | (1 << x3) | (1 << x4)
-                changed = True
-    return mask
-
-
-def is_diamond_closed(iv: BruhatInterval, mask: int) -> bool:
-    """True iff no diamond has exactly three vertices in mask, for any mask:
-    a scan of every diamond, the oracle of the lower-set test of HD2."""
-    for x1, x2, x3, x4 in iv.diamonds:
-        present = (
-            (mask >> x1 & 1) + (mask >> x2 & 1) + (mask >> x3 & 1) + (mask >> x4 & 1)
-        )
-        if present == 3:
-            return False
-    return True
-
-
 def _closed_lower_set(iv: BruhatInterval, ideal: int) -> bool:
-    """is_diamond_closed for a lower set (see the module docstring): False
-    at the first x3 in some out_mask[x1] & ideal that shares an
-    out-neighbour outside the set with an earlier x2 there."""
+    """HD2 for a lower set: True iff no diamond has exactly three vertices
+    in it (see the module docstring).  False at the first x3 in some
+    out_mask[x1] & ideal that shares an out-neighbour outside the set with
+    an earlier x2 there."""
     out_mask = iv.out_mask
     outside = ~ideal
     for x1 in bits(ideal):

@@ -90,13 +90,6 @@ class BruhatInterval:
         )
 
     @cached_property
-    def diamonds(self):
-        """Every diamond of the Bruhat graph (enumerate_diamonds)."""
-        from .hypercubes import enumerate_diamonds
-
-        return enumerate_diamonds(self)
-
-    @cached_property
     def poset(self) -> "AbstractPoset":
         return AbstractPoset(self.size, self.hasse_edges, self.rank)
 

@@ -131,7 +131,7 @@ def r_poly(u: Perm, v: Perm) -> QPoly:
     where l = l(u, v) is the degree of R-tilde and c_k = 0 unless k = l mod 2.
     R(u, u) = 1, and R(u, v) = 0 when u is not <= v.
     """
-    rt = _rtilde(u, v)
+    rt = _rtilde_or_zero(u, v)
     ell = len(rt) - 1
     out = [0] * (ell + 1)
     for k, c in enumerate(rt):
@@ -193,35 +193,47 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
 
 def rtilde_from_r(u: Perm, v: Perm) -> QPoly:
     """The R-tilde polynomial, by the one descent recurrence of this module
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 5.3); requires
-    u <= v.
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 5.3); raises
+    ValueError unless u <= v.
 
     R-tilde(u, u) = 1; R-tilde(u, v) = 0 when u is not <= v; otherwise, for
     the smallest right descent s of v: R-tilde(us, vs) when s is also a
-    descent of u, else R-tilde(us, vs) + q R-tilde(u, vs).  R-tilde(u, v) is
-    nonzero exactly when u <= v; r_poly reads R off it.
+    descent of u, else R-tilde(us, vs) + q R-tilde(u, vs).  The recurrence
+    walks comparable pairs only: by the lifting property (ibid., Prop.
+    2.2.7) us <= vs in the first case and u <= vs in the second, where the
+    term R-tilde(us, vs) is zero unless us <= vs.  So u <= v is decided once,
+    on a memo miss, and the memo holds no zero polynomial.
     """
-    res = _rtilde(u, v)
+    res = _rtilde_or_zero(u, v)
     if not res:
         raise ValueError("R-tilde requires u <= v")
     return res
 
 
+def _rtilde_or_zero(u: Perm, v: Perm) -> QPoly:
+    hit = _RT_MEMO.get((u, v))
+    if hit is not None:
+        return hit
+    return _rtilde(u, v) if bruhat_leq(u, v) else ZERO
+
+
 def _rtilde(u: Perm, v: Perm) -> QPoly:
+    """R-tilde(u, v) for u <= v."""
     key = (u, v)
     hit = _RT_MEMO.get(key)
     if hit is not None:
         return hit
     if u == v:
         res = ONE
-    elif not bruhat_leq(u, v):
-        res = ZERO
     else:
         i, j = min(descents(v))
         vs = right_transposition(v, i, j)
         us = right_transposition(u, i, j)
-        res = _rtilde(us, vs)
-        if u[i - 1] < u[j - 1]:
-            res = qp_add(res, qp_shift(_rtilde(u, vs), 1))
+        if u[i - 1] > u[j - 1]:
+            res = _rtilde(us, vs)
+        else:
+            res = qp_shift(_rtilde(u, vs), 1)
+            if bruhat_leq(us, vs):
+                res = qp_add(_rtilde(us, vs), res)
     _RT_MEMO[key] = res
     return res

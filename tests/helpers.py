@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -22,8 +23,8 @@ from bruhat_hypercubes.hypercubes import (
     HypercubeCluster,
     HypercubeDecomposition,
     build_cluster,
+    enumerate_diamonds,
     htilde,
-    is_diamond_closed,
 )
 from bruhat_hypercubes.intervals import (
     BruhatInterval,
@@ -281,6 +282,47 @@ def bruhat_edges(iv: BruhatInterval) -> tuple[tuple[int, int, Reflection], ...]:
             (t,) = [t for t in T if apply_reflection(t, x) == iv.elements[j]]
             edges.append((i, t, j))
     return tuple((i, j, t) for i, t, j in sorted(edges))
+
+
+_DIAMONDS = weakref.WeakKeyDictionary()
+
+
+def interval_diamonds(iv: BruhatInterval) -> list[tuple[int, int, int, int]]:
+    """``enumerate_diamonds(iv)``, computed once per interval object."""
+    found = _DIAMONDS.get(iv)
+    if found is None:
+        found = _DIAMONDS[iv] = enumerate_diamonds(iv)
+    return found
+
+
+def diamond_closure(iv: BruhatInterval, mask: int) -> int:
+    """Smallest superset of mask closed under completing diamonds with three
+    vertices present."""
+    diamonds = interval_diamonds(iv)
+    changed = True
+    while changed:
+        changed = False
+        for x1, x2, x3, x4 in diamonds:
+            present = (
+                (mask >> x1 & 1) + (mask >> x2 & 1) + (mask >> x3 & 1) + (mask >> x4 & 1)
+            )
+            if present == 3:
+                mask |= (1 << x1) | (1 << x2) | (1 << x3) | (1 << x4)
+                changed = True
+    return mask
+
+
+def is_diamond_closed(iv: BruhatInterval, mask: int) -> bool:
+    """True iff no diamond has exactly three vertices in mask, for any mask:
+    a scan of every diamond, the oracle of the library's lower-set test of
+    HD2."""
+    for x1, x2, x3, x4 in interval_diamonds(iv):
+        present = (
+            (mask >> x1 & 1) + (mask >> x2 & 1) + (mask >> x3 & 1) + (mask >> x4 & 1)
+        )
+        if present == 3:
+            return False
+    return True
 
 
 def zscan_row(iv: BruhatInterval, z: int, rt: QPoly) -> dict:

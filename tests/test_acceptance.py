@@ -20,6 +20,7 @@ import pytest
 from bruhat_hypercubes.cli import analyze_interval
 from bruhat_hypercubes.hypercubes import (
     check_strong_hcd,
+    coset_ideal_form,
     enumerate_diamonds,
     first_disagreement,
     htilde,
@@ -65,16 +66,12 @@ from bruhat_hypercubes.reflection_orders import (
 from helpers import (
     bruhat_edges,
     comparable_pairs,
+    diamond_closure,
     down_set_masks,
+    is_diamond_closed,
     mask_bits,
     random_functional_order,
     subprocess_env,
-)
-
-from bruhat_hypercubes.hypercubes import (
-    coset_ideal_form,
-    diamond_closure,
-    is_diamond_closed,
 )
 
 

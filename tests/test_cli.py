@@ -270,6 +270,27 @@ def test_counterexample_exit_code(capsys, monkeypatch):
     assert "COUNTEREXAMPLE" in err
 
 
+def test_verify_computes_each_strong_h_tilde_once(capsys, monkeypatch):
+    # the standard z is one of the strong z of the scan: its H-tilde is
+    # computed for the standard report and reused by its scan row
+    calls = []
+    real = cli.htilde
+
+    def counting(iv, hcd):
+        calls.append(tuple(map(format_perm, (iv.bottom, iv.top, iv.elements[hcd.z]))))
+        return real(iv, hcd)
+
+    monkeypatch.setattr(cli, "htilde", counting)
+    code, out, _ = run(capsys, "verify", "4", "--exhaustive-z", "--json", "--jobs", "1")
+    assert code == 0
+    *reports, _ = map(json.loads, out.splitlines())
+    strong = [
+        (r["u"], r["v"], row["z"]) for r in reports for row in r["z_scan"] if row["strong"]
+    ]
+    assert len(strong) > len(reports)
+    assert sorted(calls) == sorted(strong)
+
+
 def test_verify_iso_classes_builds_each_interval_once(capsys, monkeypatch):
     calls = []
     real = cli.build_interval

@@ -14,11 +14,9 @@ from bruhat_hypercubes.hypercubes import (
     build_cluster,
     check_strong_hcd,
     coset_ideal_form,
-    diamond_closure,
     enumerate_diamonds,
     first_disagreement,
     htilde,
-    is_diamond_closed,
     is_simple,
     special_matchings,
     standard_hcd,
@@ -56,8 +54,10 @@ from helpers import (
     bruhat_edges,
     check_cluster_axioms,
     comparable_pairs,
+    diamond_closure,
     down_set_masks,
     draw_comparable_pair,
+    is_diamond_closed,
     mask_bits,
     random_functional_order,
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruhat_hypercubes import polynomials
 from bruhat_hypercubes.errors import InvariantViolation
 from bruhat_hypercubes.intervals import build_interval
 from bruhat_hypercubes.perms import all_perms, identity, length
@@ -152,6 +153,28 @@ def test_rtilde_examples():
     assert rtilde_from_r((1, 2, 3), (3, 2, 1)) == (0, 1, 0, 1)
     with pytest.raises(ValueError):
         rtilde_from_r((2, 1, 3), (1, 2, 3))
+
+
+def test_rtilde_memo_holds_the_comparable_pairs_only_s5(monkeypatch):
+    # the recurrence walks comparable pairs only, so a cold memo filled by
+    # every comparable pair of S_5 holds exactly those pairs, none of them
+    # zero; incomparable pairs are decided before the memo and stay out
+    monkeypatch.setattr(polynomials, "_RT_MEMO", {})
+    pairs = comparable_pairs(5)
+    for u, v in pairs:
+        rtilde_from_r(u, v)
+    memo = polynomials._RT_MEMO
+    assert all(memo.values())
+    assert set(memo) == set(pairs)
+    for (u, v), rt in memo.items():
+        assert r_from_rtilde(rt, length(v) - length(u)) == oracle_r(u, v), (u, v)
+    incomparable = set(itertools.product(all_perms(5), repeat=2)) - set(pairs)
+    assert len(incomparable) == 120**2 - len(pairs)
+    for u, v in incomparable:
+        assert r_poly(u, v) == ()
+        with pytest.raises(ValueError):
+            rtilde_from_r(u, v)
+    assert set(memo) == set(pairs)
 
 
 def test_rtilde_shape_s4():

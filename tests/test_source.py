@@ -28,6 +28,37 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def test_package_root_imports_nothing():
+    # every caller imports from the modules; a re-export layer at the root
+    # would load all of them for every command
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert not [
+        node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_a_query_loads_only_what_it_uses():
+    # python -m bruhat_hypercubes kl ..., then the modules it left loaded
+    script = """
+import runpy, sys
+sys.argv = ["bruhat_hypercubes", "kl", "1324", "4231", "--json"]
+try:
+    runpy.run_module("bruhat_hypercubes", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert stop.code == 0, stop.code
+print(" ".join(sorted(sys.modules)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, loaded = proc.stdout.splitlines()
+    assert json.loads(report)["P"] == [1]
+    loaded = set(loaded.split())
+    assert "bruhat_hypercubes.cli" in loaded
+    assert not loaded & {"bruhat_hypercubes.reflection_orders", "fractions"}
+
+
 def test_perms_doctests_pass():
     # the examples in the perms docstrings are executable documentation
     result = doctest.testmod(perms)
