@@ -20,7 +20,6 @@ import sys
 import time
 from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import EmptyIntervalError
 from .hypercubes import (
     check_strong_hcd,
     first_disagreement,
@@ -152,8 +151,7 @@ def _emit(obj: dict, as_json: bool, lines: Iterable[str]) -> None:
 def cmd_kl(args) -> int:
     u, v = _parse_pair(args.u, args.v)
     if not bruhat_leq(u, v):
-        print(f"error: {args.u} and {args.v} are not comparable", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.u} and {args.v} are not comparable")
     p, r, rt = kl_poly(u, v), r_poly(u, v), rtilde_from_r(u, v)
     _emit(
         {"u": args.u, "v": args.v, "P": list(p), "R": list(r), "R_tilde": list(rt)},
@@ -170,8 +168,7 @@ def cmd_kl(args) -> int:
 def cmd_rtilde(args) -> int:
     u, v = _parse_pair(args.u, args.v)
     if not bruhat_leq(u, v):
-        print(f"error: {args.u} and {args.v} are not comparable", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.u} and {args.v} are not comparable")
     rt = rtilde_from_r(u, v)
     _emit(
         {"u": args.u, "v": args.v, "R_tilde": list(rt)},
@@ -291,8 +288,7 @@ def cmd_hcd(args) -> int:
     else:
         z_perm = parse_perm(args.z)
         if z_perm not in iv.index:
-            print(f"error: {args.z} is not in the interval", file=sys.stderr)
-            return 1
+            raise ValueError(f"{args.z} is not in the interval")
         check = check_strong_hcd(iv, iv.index[z_perm])
         payload = {
             "u": args.u,
@@ -463,8 +459,7 @@ def _forked_results(n: int, start: int, step: int, jobs: int, task: Callable) ->
 def cmd_verify(args) -> int:
     n = args.n
     if not 2 <= n <= 7:
-        print(f"error: verify expects 2 <= n <= 7, got {n}", file=sys.stderr)
-        return 1
+        raise ValueError(f"verify expects 2 <= n <= 7, got {n}")
     shard_k, shard_m = _parse_shard(args.shard)
     if args.iso_classes and shard_m > 1:
         # a shard would group only its own intervals, splitting classes
@@ -492,7 +487,9 @@ def cmd_verify(args) -> int:
     else:
         results = (task(u, v) for u, v in itertools.islice(pairs, shard_k - 1, None, shard_m))
     reported = failures = 0
-    iso_groups: dict = {}
+    # --iso-classes: each signature's classes in first-member order, each as
+    # [u, v, poset, members, set of P], its first member representing it
+    iso_classes: dict = {}
     try:
         for messages, line, iso in results:
             reported += 1
@@ -501,7 +498,15 @@ def cmd_verify(args) -> int:
                 print(f"COUNTEREXAMPLE: {message}", file=sys.stderr)
             print(line)
             if iso:
-                iso_groups.setdefault(iso[0], []).append(iso[1])
+                key, (u, v, poset, p) = iso
+                bucket = iso_classes.setdefault(key, [])
+                for cls in bucket:
+                    if poset_isomorphic(cls[2], poset) is not None:
+                        cls[3] += 1
+                        cls[4].add(p)
+                        break
+                else:
+                    bucket.append([u, v, poset, 1, {p}])
     finally:
         results.close()
     if not reported and pairs:
@@ -511,41 +516,28 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--shard {args.shard} selects no interval of S_{n}")
 
     if args.iso_classes:
-        class_id = 0
-        for key in sorted(iso_groups, key=repr):
-            members = iso_groups[key]
-            classes: list[list] = []
-            for u, v, poset, p in members:
-                for cls in classes:
-                    if poset_isomorphic(cls[0][2], poset) is not None:
-                        cls.append((u, v, poset, p))
-                        break
-                else:
-                    classes.append([(u, v, poset, p)])
-            for cls in classes:
-                polys = {p for _, _, _, p in cls}
-                obj = {
-                    "iso_class": class_id,
-                    "members": len(cls),
-                    "representative": [format_perm(cls[0][0]), format_perm(cls[0][1])],
-                    "p": [list(p) for p in sorted(polys)],
-                }
-                if len(polys) != 1:
-                    failures += 1
-                    message = (
-                        "isomorphism class of "
-                        f"[{format_perm(cls[0][0])}, {format_perm(cls[0][1])}]"
-                        f" carries {len(polys)} distinct Kazhdan-Lusztig polynomials"
-                    )
-                    obj["counterexample"] = message
-                    print(f"COUNTEREXAMPLE: {message}", file=sys.stderr)
-                if args.json:
-                    print(json.dumps(obj, sort_keys=True))
-                elif len(polys) != 1:
-                    print(f"iso class {class_id}: P NOT constant")
-                class_id += 1
+        classes = [cls for key in sorted(iso_classes, key=repr) for cls in iso_classes[key]]
+        for class_id, (u, v, _, members, polys) in enumerate(classes):
+            obj = {
+                "iso_class": class_id,
+                "members": members,
+                "representative": [format_perm(u), format_perm(v)],
+                "p": [list(p) for p in sorted(polys)],
+            }
+            if len(polys) != 1:
+                failures += 1
+                message = (
+                    f"isomorphism class of [{format_perm(u)}, {format_perm(v)}]"
+                    f" carries {len(polys)} distinct Kazhdan-Lusztig polynomials"
+                )
+                obj["counterexample"] = message
+                print(f"COUNTEREXAMPLE: {message}", file=sys.stderr)
+            if args.json:
+                print(json.dumps(obj, sort_keys=True))
+            elif len(polys) != 1:
+                print(f"iso class {class_id}: P NOT constant")
         if not args.json:
-            print(f"iso classes: {class_id}, all P-constant: {failures == 0}")
+            print(f"iso classes: {len(classes)}, all P-constant: {failures == 0}")
 
     summary = {
         "summary": {
@@ -639,7 +631,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, EmptyIntervalError) as err:
+    except ValueError as err:  # EmptyIntervalError among them
         print(f"error: {err}", file=sys.stderr)
         return 1
 

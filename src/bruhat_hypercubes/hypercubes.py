@@ -404,15 +404,9 @@ def special_matchings(iv: BruhatInterval) -> list[tuple[int, ...]]:
     m = iv.size
     if m % 2:
         return []
-    nbrs: list[list[int]] = [[] for _ in range(m)]
-    touching: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for a, b in iv.hasse_edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-        touching[a].append((a, b))
-        touching[b].append((a, b))
-    for lst in nbrs:
-        lst.sort()
+    up, down = iv.poset.covers
+    # covers rise in index, so the cocovers of x come before its covers
+    nbrs = [down[x] + up[x] for x in range(m)]
 
     partner = [-1] * m
     results: list[tuple[int, ...]] = []
@@ -424,6 +418,9 @@ def special_matchings(iv: BruhatInterval) -> list[tuple[int, ...]]:
         if pa == b:
             return True
         return pa != pb and iv.leq(pa, pb)
+
+    def covers_ok(x: int) -> bool:
+        return all(edge_ok(a, x) for a in down[x]) and all(edge_ok(x, b) for b in up[x])
 
     # an explicit stack of (x, next candidate index into nbrs[x]), one frame
     # per matched pair x <-> partner[x]
@@ -441,9 +438,7 @@ def special_matchings(iv: BruhatInterval) -> list[tuple[int, ...]]:
                 continue
             partner[x] = w
             partner[w] = x
-            if all(edge_ok(a, b) for a, b in touching[x]) and all(
-                edge_ok(a, b) for a, b in touching[w]
-            ):
+            if covers_ok(x) and covers_ok(w):
                 resume.append((x, k))
                 x, k = x + 1, 0
                 break

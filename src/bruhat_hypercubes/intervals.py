@@ -247,43 +247,48 @@ def atoms(iv: BruhatInterval) -> tuple[tuple[Perm, Reflection, Root], ...]:
 
 @dataclass(frozen=True)
 class AbstractPoset:
-    """A graded poset given by its Hasse relation on {0, ..., size-1}."""
+    """A graded poset given by its Hasse relation on {0, ..., size-1}.
+
+    Its cover lists and its stable colouring are derived on first use and
+    kept, so every search and signature over one poset shares them."""
 
     size: int
     hasse: tuple[tuple[int, int], ...]
     rank: tuple[int, ...]
 
+    @cached_property
+    def covers(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(up, down): up[x] lists the elements covering x and down[x] those
+        x covers, each ascending, as the Hasse relation is sorted."""
+        up = [[] for _ in range(self.size)]
+        down = [[] for _ in range(self.size)]
+        for a, b in self.hasse:
+            up[a].append(b)
+            down[b].append(a)
+        return up, down
 
-def _adjacency(p: AbstractPoset):
-    up = [[] for _ in range(p.size)]
-    down = [[] for _ in range(p.size)]
-    for a, b in p.hasse:
-        up[a].append(b)
-        down[b].append(a)
-    return up, down
-
-
-def _stable_colors(p: AbstractPoset):
-    """Refine rank colours by the colours of the upper and lower covers until
-    the partition is stable.  Returns (colors, signatures): a colour is the
-    rank of its signature among the sorted distinct signatures, so every
-    isomorphism preserves colours."""
-    up, down = _adjacency(p)
-    col = list(p.rank)
-    while True:
-        raw = [
-            (
-                col[x],
-                tuple(sorted(col[y] for y in up[x])),
-                tuple(sorted(col[y] for y in down[x])),
-            )
-            for x in range(p.size)
-        ]
-        ids = {s: k for k, s in enumerate(sorted(set(raw)))}
-        new = [ids[s] for s in raw]
-        if len(ids) == len(set(col)):
-            return new, raw
-        col = new
+    @cached_property
+    def stable_colors(self) -> tuple[list[int], list[tuple]]:
+        """Rank colours refined by the colours of the upper and lower covers
+        until the partition is stable, as (colors, signatures): a colour is
+        the rank of its signature among the sorted distinct signatures, so
+        every isomorphism preserves colours."""
+        up, down = self.covers
+        col = list(self.rank)
+        while True:
+            raw = [
+                (
+                    col[x],
+                    tuple(sorted(col[y] for y in up[x])),
+                    tuple(sorted(col[y] for y in down[x])),
+                )
+                for x in range(self.size)
+            ]
+            ids = {s: k for k, s in enumerate(sorted(set(raw)))}
+            new = [ids[s] for s in raw]
+            if len(ids) == len(set(col)):
+                return new, raw
+            col = new
 
 
 def poset_isomorphic(p: AbstractPoset, q: AbstractPoset) -> Optional[tuple[int, ...]]:
@@ -294,12 +299,12 @@ def poset_isomorphic(p: AbstractPoset, q: AbstractPoset) -> Optional[tuple[int, 
     """
     if p.size != q.size or len(p.hasse) != len(q.hasse):
         return None
-    col_p, sig_p = _stable_colors(p)
-    col_q, sig_q = _stable_colors(q)
+    col_p, sig_p = p.stable_colors
+    col_q, sig_q = q.stable_colors
     if sorted(sig_p) != sorted(sig_q):
         return None
-    up_p, down_p = _adjacency(p)
-    up_q, down_q = _adjacency(q)
+    up_p, down_p = p.covers
+    up_q, down_q = q.covers
     up_q_set = [set(ys) for ys in up_q]
     down_q_set = [set(ys) for ys in down_q]
 
@@ -358,7 +363,7 @@ def poset_isomorphic(p: AbstractPoset, q: AbstractPoset) -> Optional[tuple[int, 
 
 def iso_signature(p: AbstractPoset):
     """A cheap isomorphism invariant, usable as a grouping key."""
-    return (p.size, len(p.hasse), tuple(sorted(_stable_colors(p)[1])))
+    return (p.size, len(p.hasse), tuple(sorted(p.stable_colors[1])))
 
 
 # ---------------------------------------------------------------------------

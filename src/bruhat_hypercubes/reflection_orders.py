@@ -30,9 +30,6 @@ class ReflectionOrder:
     ordered: tuple[Reflection, ...]
     position: dict[Reflection, int]
 
-    def __iter__(self):
-        return iter(self.ordered)
-
 
 def _degree_from_count(count: int) -> int:
     n = round((1 + (1 + 8 * count) ** 0.5) / 2)

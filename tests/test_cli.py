@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -60,6 +61,26 @@ def test_matchings_command(capsys):
     code, out, _ = run(capsys, "matchings", "21354", "52341", "--json")
     assert code == 0
     assert json.loads(out)["count"] == 0
+
+
+def test_matchings_lists_each_matching_by_its_covers(capsys):
+    iv = build_interval((1, 2, 3), (3, 2, 1))
+    names = [format_perm(x) for x in iv.elements]
+    covers = {(names[i], names[j]) for i, j in iv.hasse_edges}
+    code, out, _ = run(capsys, "matchings", "123", "321", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["count"] == len(obj["matchings"]) == 4
+    for matching in obj["matchings"]:
+        assert all(tuple(pair) in covers for pair in matching)
+        assert sorted(x for pair in matching for x in pair) == sorted(names)
+
+    code, out, _ = run(capsys, "matchings", "123", "321")
+    assert code == 0
+    head, *rows = out.splitlines()
+    assert head == "special matchings: 4"
+    listed = [[pair.split("<->") for pair in row.strip().split(", ")] for row in rows]
+    assert listed == obj["matchings"]
 
 
 def test_iso_command(capsys):
@@ -308,6 +329,37 @@ def test_verify_iso_classes_builds_each_interval_once(capsys, monkeypatch):
     assert {id(group) for _, _, group in calls} == {id(intervals.bruhat_order(3))}
 
 
+def test_verify_iso_classes_refines_each_poset_once(capsys, monkeypatch):
+    # the signature and every isomorphism test read a poset's covers and
+    # stable colours: each is derived once per interval, whatever the
+    # number of tests its poset takes part in
+    seen: dict[str, list] = {"covers": [], "stable_colors": []}
+    for name, calls in seen.items():
+        real = getattr(intervals.AbstractPoset, name).func
+
+        def counting(poset, real=real, calls=calls):
+            calls.append(poset)  # held, so no id is reused
+            return real(poset)
+
+        derived = functools.cached_property(counting)
+        derived.__set_name__(intervals.AbstractPoset, name)
+        monkeypatch.setattr(intervals.AbstractPoset, name, derived)
+    isomorphic = []
+    real_isomorphic = cli.poset_isomorphic
+    monkeypatch.setattr(
+        cli, "poset_isomorphic", lambda p, q: isomorphic.append(q) or real_isomorphic(p, q)
+    )
+    code, out, _ = run(capsys, "verify", "4", "--iso-classes", "--json", "--jobs", "1")
+    assert code == 0
+    *lines, summary = map(json.loads, out.splitlines())
+    assert summary["summary"]["intervals"] == 213
+    classes = [obj for obj in lines if "iso_class" in obj]
+    # every interval but the first of its signature is tested against a class
+    assert len(isomorphic) >= 213 - len(classes)
+    for calls in seen.values():
+        assert len(calls) == len({id(p) for p in calls}) == 213
+
+
 def test_verify_rejects_an_empty_shard(capsys):
     # S_2 has 3 comparable pairs, so the 4th of 4 slices holds none
     code, out, err = run(capsys, "verify", "2", "--shard", "4/4")
@@ -330,6 +382,20 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert "usage:" in capsys.readouterr().err
     assert cli.main(["--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kl", "4231", "1324"], "4231 and 1324 are not comparable"),
+        (["rtilde", "4231", "1324"], "4231 and 1324 are not comparable"),
+        (["hcd", "123", "321", "4123"], "4123 is not in the interval"),
+        (["verify", "9"], "verify expects 2 <= n <= 7, got 9"),
+        (["hcd", "4231", "1324"], "4231 is not <= 1324 in Bruhat order"),
+    ],
+)
+def test_main_reports_a_usage_error_alone(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 # the "u v z reason" lines of every z-scan row of S_5, in stream order,
@@ -520,6 +586,57 @@ def test_counterexample_exit_code_at_two_jobs(capsys, monkeypatch, forks):
     named = re.findall(r"^COUNTEREXAMPLE: standard decomposition of \[(\w+), (\w+)\]", err, re.M)
     assert named == [(r["u"], r["v"]) for r in reports if r["u"] != r["v"]]
     assert len(named) == 19 - 6
+
+
+def test_z_scan_counterexample_rows_at_two_jobs(capsys, monkeypatch, forks):
+    # an H-tilde of 0 lies below every R-tilde: every strong z of every
+    # interval of S_3 is a counterexample row, echoed in stream order
+    monkeypatch.setattr(cli, "htilde", lambda iv, hcd: ())
+    serial, forked = run_at_jobs(capsys, forks, ["verify", "3", "--exhaustive-z", "--json"])
+    assert forked == serial
+    code, out, err = forked
+    assert code == 2
+    *reports, summary = map(json.loads, out.splitlines())
+    strong = [(r, row) for r in reports for row in r["z_scan"] if row["strong"]]
+    assert len(strong) > len(reports)
+    assert all(row["verdict"] == "less-equal" for _, row in strong)
+    named = re.findall(r"^COUNTEREXAMPLE: (strong decomposition .*)$", err, re.M)
+    assert named == [
+        f"strong decomposition [u, {row['z']}] of [{r['u']}, {r['v']}] has verdict less-equal"
+        for r, row in strong
+    ]
+    standard = re.findall(r"^COUNTEREXAMPLE: standard decomposition ", err, re.M)
+    assert len(standard) == 19 - 6
+    assert summary["summary"]["counterexamples"] == len(named) + len(standard)
+
+
+def test_an_iso_class_with_two_polynomials_is_a_counterexample(capsys, monkeypatch, forks):
+    # one length-1 pair of S_3 gets P = 1 + q: the class of the 2-chains,
+    # represented by its first member [123, 132], then carries two P
+    real = cli.kl_poly
+    planted = ((1, 2, 3), (2, 1, 3))
+    monkeypatch.setattr(cli, "kl_poly", lambda u, v: (1, 1) if (u, v) == planted else real(u, v))
+    message = "isomorphism class of [123, 132] carries 2 distinct Kazhdan-Lusztig polynomials"
+    streams = []
+    for extra in (["--json"], []):
+        serial, forked = run_at_jobs(capsys, forks, ["verify", "3", "--iso-classes", *extra])
+        assert forked == serial
+        code, out, err = forked
+        assert code == 2
+        assert err == f"COUNTEREXAMPLE: {message}\n"
+        streams.append(out.splitlines())
+    as_json, as_text = streams
+    classes = [obj for obj in map(json.loads, as_json) if "iso_class" in obj]
+    assert len(classes) == 4
+    (bad,) = [c for c in classes if "counterexample" in c]
+    assert bad["counterexample"] == message
+    assert bad["representative"] == ["123", "132"]
+    assert bad["p"] == [[1], [1, 1]] and bad["members"] == 8  # the covers of S_3
+    assert json.loads(as_json[-1])["summary"]["counterexamples"] == 1
+    assert as_text[-3:-1] == [
+        f"iso class {bad['iso_class']}: P NOT constant",
+        "iso classes: 4, all P-constant: False",
+    ]
 
 
 def test_a_killed_verify_leaves_no_worker():

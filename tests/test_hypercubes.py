@@ -9,7 +9,7 @@ from bruhat_hypercubes.errors import (
     ClusterError,
     InvariantViolation,
 )
-from bruhat_hypercubes import hypercubes
+from bruhat_hypercubes import hypercubes, intervals
 from bruhat_hypercubes.hypercubes import (
     build_cluster,
     check_strong_hcd,
@@ -298,6 +298,34 @@ def test_build_cluster_construction_errors_win_over_hc4():
     assert (iv.out_mask[a] & iv.out_mask[b]).bit_count() == 2
     assert any(comparable(a, b) and iv.out_mask[a] & iv.out_mask[b] for a, b in pairs)
 
+
+def _hand_built(edges: dict[int, tuple[int, ...]], rank: list[int]):
+    """An interval over dummy elements 0, 1, ... with these edges, which
+    must rise in index, and ranks."""
+    elements = [(k,) for k in range(len(rank))]
+    out_mask = [sum(1 << j for j in edges.get(i, ())) for i in range(len(rank))]
+    return intervals._closed(elements, {x: i for i, x in enumerate(elements)}, rank, out_mask)
+
+
+def test_build_cluster_raises_on_a_collapsed_image():
+    # the three 2-antichains of the frontier {1, 2, 3} all complete to 4,
+    # so the images below {1, 2, 3} coincide
+    iv = _hand_built({0: (1, 2, 3), 1: (4,), 2: (4,), 3: (4,)}, [0, 1, 1, 1, 2])
+    with pytest.raises(ClusterError) as err:
+        build_cluster(iv, 0, 0)
+    assert err.value.reason == "hypercube image collapsed"
+    assert str(err.value) == "hypercube image collapsed: x=0"
+
+
+def test_build_cluster_raises_when_pair_completions_disagree():
+    # every pair completion is unique: {1, 2} -> 4, {1, 3} -> 5, {2, 3} -> 6;
+    # over {1, 2, 3}, the pair (6, 5) completes to 7 but (6, 4) to 8
+    edges = {0: (1, 2, 3), 1: (4, 5), 2: (4, 6), 3: (5, 6), 4: (8, 9), 5: (7, 9), 6: (7, 8)}
+    iv = _hand_built(edges, [0, 1, 1, 1, 2, 2, 2, 3, 3, 3])
+    with pytest.raises(ClusterError) as err:
+        build_cluster(iv, 0, 0)
+    assert err.value.reason == "ambiguous completion"
+    assert str(err.value) == "ambiguous completion: pairs disagree at x=0"
 
 def test_cluster_axiom_oracle_rejects_tampered_clusters():
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
