@@ -55,7 +55,7 @@ from .polynomials import (
 
 def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
     u, v = iv.bottom, iv.top
-    rt = rtilde_from_r(u, v)
+    rt = rtilde_from_r(u, v, comparable=True)
     report: dict = {
         "u": format_perm(u),
         "v": format_perm(v),
@@ -88,11 +88,9 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
 
     if exhaustive_z:
         scan = []
-        # the clusters of this interval that succeeded, by base: every z
-        # restricts one whose frontier covers its own instead of building
-        known = {} if hcd is None else {x: [c] for x, c in hcd.clusters.items()}
+        verdicts: dict = {}  # every z's, filled by the first check
         for z in range(iv.size):
-            check = check_strong_hcd(iv, z, known)
+            check = check_strong_hcd(iv, z, verdicts)
             ok = check.ok
             reason = None if ok else f"{check.failed_axiom}: {check.reason}"
             if not ok:
@@ -244,7 +242,7 @@ def cmd_iso(args) -> int:
 def cmd_hcd(args) -> int:
     u, v = _parse_pair(args.u, args.v)
     iv = build_interval(u, v)
-    rt = rtilde_from_r(u, v)
+    rt = rtilde_from_r(u, v, comparable=True)  # build_interval raised otherwise
     if args.z is None:
         hcd = standard_hcd(iv)
         h = htilde(iv, hcd)
@@ -382,12 +380,13 @@ def _verify_pair(u: Perm, v: Perm, group: Optional[BruhatInterval], args) -> tup
 
 
 def _forked_results(n: int, start: int, step: int, jobs: int, task: Callable) -> Iterator:
-    """task(u, v) over islice(comparable_pairs(n), start, None, step), in
-    that order, computed by jobs forked workers.  Worker w takes every
-    jobs-th of those pairs from the w-th on and pickles each result onto its
-    own pipe; the results are read back round-robin.  An exception in a
-    worker is raised here, at its place in the order.  On every way out, the
-    pipes are closed and every worker is killed and reaped."""
+    """task(u, v) over comparable_pairs(n, start, step), in that order,
+    computed by jobs forked workers.  Worker w takes every jobs-th of those
+    pairs from the w-th on, comparable_pairs skipping to it, and pickles
+    each result onto its own pipe; the results are read back round-robin.
+    An exception in a worker is raised here, at its place in the order.  On
+    every way out, the pipes are closed and every worker is killed and
+    reaped."""
     import os
     import pickle
     import signal
@@ -411,10 +410,7 @@ def _forked_results(n: int, start: int, step: int, jobs: int, task: Callable) ->
                             os.close(fd)
                     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
                     with os.fdopen(pipes[w][1], "wb") as out:
-                        mine = itertools.islice(
-                            comparable_pairs(n), start + w * step, None, jobs * step
-                        )
-                        for u, v in mine:
+                        for u, v in comparable_pairs(n, start + w * step, jobs * step):
                             if os.getppid() != parent:
                                 break
                             try:
@@ -474,9 +470,10 @@ def cmd_verify(args) -> int:
                 f"--interval expects a pair of S_{n}, got {' '.join(args.interval)}"
             )
         pairs = ((u, v),) if bruhat_leq(u, v) else ()
+        mine = pairs[shard_k - 1 :: shard_m]
         group = None  # one interval: the reflection scan builds it alone
     else:
-        pairs = comparable_pairs(n)
+        pairs = mine = comparable_pairs(n, shard_k - 1, shard_m)
         group = bruhat_order(n)  # built by comparable_pairs, and kept
 
     def task(u: Perm, v: Perm) -> tuple:
@@ -485,7 +482,7 @@ def cmd_verify(args) -> int:
     if jobs > 1 and not args.interval:
         results = _forked_results(n, shard_k - 1, shard_m, jobs, task)
     else:
-        results = (task(u, v) for u, v in itertools.islice(pairs, shard_k - 1, None, shard_m))
+        results = (task(u, v) for u, v in mine)
     reported = failures = 0
     # --iso-classes: each signature's classes in first-member order, each as
     # [u, v, poset, members, set of P], its first member representing it

@@ -15,22 +15,25 @@ Terminology, relative to an interval [u, v] and a lower ideal I:
 * a strong decomposition is an ideal [u, z], diamond-closed, with a valid
   cluster at every point.
 
-Clusters are built in one pass over the antichains, level by level: the
-pairs of extensions of each antichain either grow the level two sizes up
-(incomparable pairs) or are checked against HC4 (comparable ones).  Every
-completion must exist, agree and be unique, for every pair of removed
-elements; these construction errors raise at once, and an HC4 witness is
-reported only once every level is built.  This is the one cluster
-construction: the standard decomposition takes its clusters from it and
-checks the explicit cycle formula on them.  Every check is local to one
-antichain, so a cluster on a frontier F restricts to a cluster on every
-F' inside F: a scan over z keeps the clusters it built and restricts one
-whose frontier covers the next z's instead of building again.  Ideals,
-frontiers and antichains are bitmasks over the interval's element indices,
-and diamonds are plain (x1, x2, x3, x4) tuples of them.  HD2 is decided
-inside [u, z]: a lower set holds three vertices of a diamond only as x1,
-x2 and x3, so it fails iff two members with a common in-neighbour have a
-common out-neighbour outside it.
+Clusters are built in one pass over the antichains, level by level, each
+antichain grown once from its parent (itself less its highest member).
+Every completion must exist, agree and be unique, for every pair of
+removed elements; the comparable pairs of extensions of each antichain are
+checked against HC4, which a construction error outranks.  Every check is
+local to one antichain, or to one antichain and a pair of its extensions,
+and theta(Y) does not depend on the ideal; so cluster_record, the one
+cluster construction, builds the clusters at x for a whole set of ideals
+[u, z] at once, on the union of their frontiers, and reads each z's
+verdict off bitmasks: an antichain Y lies inside the frontier of [u, z]
+iff z is outside up(Y).  build_cluster is its view for one z, and a z-scan
+makes one record per base x, for the z above x still alive.  The standard
+decomposition takes its clusters from the same construction and checks
+the explicit cycle formula on them.  Ideals, frontiers and antichains are
+bitmasks over the interval's element indices, and diamonds are plain
+(x1, x2, x3, x4) tuples of them.  HD2 is decided inside [u, z]: a lower
+set holds three vertices of a diamond only as x1, x2 and x3, so it fails
+iff two members with a common in-neighbour have a common out-neighbour
+outside it.
 """
 
 from __future__ import annotations
@@ -71,10 +74,16 @@ def _closed_lower_set(iv: BruhatInterval, ideal: int) -> bool:
     an earlier x2 there."""
     out_mask = iv.out_mask
     outside = ~ideal
-    for x1 in bits(ideal):
+    rest = ideal
+    while rest:
+        low = rest & -rest
+        rest ^= low
         seen = 0  # out-neighbours outside the set of the x2 so far
-        for x3 in bits(out_mask[x1] & ideal):
-            leaving = out_mask[x3] & outside
+        inside = out_mask[low.bit_length() - 1] & ideal
+        while inside:
+            x3 = inside & -inside
+            inside ^= x3
+            leaving = out_mask[x3.bit_length() - 1] & outside
             if leaving & seen:
                 return False
             seen |= leaving
@@ -95,101 +104,191 @@ class HypercubeCluster:
     images: dict[int, int]
 
 
-def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
-    """Construct the strong hypercube cluster at x relative to the ideal
-    [u, z], or raise ClusterError when none exists.
+@dataclass(frozen=True)
+class ClusterRecord:
+    """The clusters at one base for a set of ideals [u, z] at once.
 
-    One pass over the antichains of the frontier, level by level.  The round
-    at size k walks every pair a < b of extensions of each antichain Y of
-    size k: Y + a + b joins the level k + 2 when a and b are incomparable,
-    and when they are comparable, theta(Y + a) != theta(Y + b) with a common
-    out-neighbour is a witness against HC4.  Singletons are forced; each new
-    level is then built in ascending mask order, theta(Y) being the
-    completion through every pair of members of Y, which must exist, agree
-    and be unique.  That makes theta(Y) a common out-neighbour of every
-    theta(Y - p), so the edges of HC3 hold by construction; and as Bruhat
-    edges rise strictly in index, theta is injective on the subsets of each
-    antichain.
+    errors maps each z that has no cluster at the base to its ClusterError.
+    cluster.frontier is the union of the frontiers, and cluster.images, in
+    (size, mask) order, holds theta on the antichains inside them: for each
+    z not in errors, on every antichain inside its own frontier, which is
+    its cluster."""
 
-    Failure order: a construction error ("hypercube image collapsed", "no
-    completion", "ambiguous completion") raises at once, at the first
-    antichain in (size, mask) order; "HC4 violated" raises only after every
-    level is built.
+    cluster: HypercubeCluster
+    errors: dict[int, ClusterError]
+
+
+def cluster_record(iv: BruhatInterval, x: int, zs: int) -> ClusterRecord:
+    """The clusters at x for every ideal [u, z], z in the mask zs (each
+    with x <= z), built once on the union of their frontiers.  Never
+    raises: a z without a cluster gets its ClusterError.
+
+    Every check is local to one antichain Y, or to Y and a pair of its
+    extensions, and theta(Y) does not depend on z; so the cluster for one z
+    is the record on the antichains inside its frontier, which are those Y
+    with z outside up(Y), the union of the up-sets of the members.  A Y
+    whose up(Y) holds every z of zs that has not failed yet lies inside no
+    frontier that still needs it: it is skipped, and with it all its
+    supersets.
+
+    The antichains grow level by level, each once, from its parent Y minus
+    its highest member: its extensions (the frontier elements incomparable
+    with all of it) are its parent's that are also incomparable with that
+    member.  Singletons are forced; each new level is then completed in
+    ascending mask order, theta(Y) being the completion through every pair
+    of members of Y, which must exist, agree and be unique.  That makes
+    theta(Y) a common out-neighbour of every theta(Y - p), so the edges of
+    HC3 hold by construction; and as Bruhat edges rise strictly in index,
+    theta is injective on the subsets of each antichain.  Once a level is
+    complete, the comparable pairs a < b of extensions of each antichain Y
+    below it are walked for HC4: theta(Y + a) != theta(Y + b) with a common
+    out-neighbour is a witness against every z outside up(Y + a + b).
+
+    Failure order, for each z: a construction error ("hypercube image
+    collapsed", "no completion", "ambiguous completion") at the first
+    antichain inside its frontier in (size, mask) order; otherwise "HC4
+    violated" if a witness lies inside it.  An antichain that fails gets
+    no image, so its supersets are never completed; they lie only inside
+    frontiers that already failed.
     """
+    out_mask, up_mask, down_mask = iv.out_mask, iv.up_mask, iv.down_mask
+    # j is in the frontier of [u, z] iff z is outside up_mask[j]
+    frontier = 0
+    rest = out_mask[x]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if zs & ~up_mask[low.bit_length() - 1]:
+            frontier |= low
+    theta: dict[int, int] = {0: x}
+    # by the bit 1 << j of each frontier element j: the frontier elements
+    # incomparable with it, those above it, and up_mask[j]
+    incomp, above, up_of = {}, {}, {}
+    upper = []  # (Y, its extensions, up(Y)) over the level being built
+    rest = frontier
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        j = low.bit_length() - 1
+        up_of[low] = up = up_mask[j]
+        incomp[low] = frontier & ~(up | down_mask[j])
+        above[low] = (frontier & up) ^ low
+        theta[low] = j
+        upper.append((low, incomp[low], up))
+
+    dead = 0  # the z with a construction error so far
+    errors: dict[int, ClusterError] = {}
+    hc4 = 0  # the z with an HC4 witness inside their frontier
+    level = [(0, frontier, 0)]
+    while upper:
+        for ymask, ext, uy in level:
+            if not zs & ~(uy | dead | hc4):
+                continue
+            rest = ext
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                # an extension comparable to a and above it in index is
+                # above it in the order
+                pairs = ext & above[low]
+                if not pairs:
+                    continue
+                m1 = theta.get(ymask | low)
+                if m1 is None:
+                    continue
+                while pairs:
+                    high = pairs & -pairs
+                    pairs ^= high
+                    m2 = theta.get(ymask | high)
+                    if m2 is not None and m1 != m2 and out_mask[m1] & out_mask[m2]:
+                        # up(b) lies inside up(a), as a < b
+                        hc4 |= zs & ~(uy | up_of[low])
+
+        grown = []
+        for ymask, ext, uy in upper:
+            top = ymask.bit_length()
+            rest = ext >> top << top
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                up = uy | up_of[low]
+                if zs & ~(up | dead):
+                    grown.append((ymask | low, ext & incomp[low], up))
+        grown.sort()
+
+        level, upper = upper, []
+        for entry in grown:
+            ymask = entry[0]
+            # a superset of a failed antichain serves only failed z, and
+            # was not grown
+            below = []
+            rest = ymask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                below.append(theta[ymask ^ low])
+            try:
+                theta[ymask] = _completion(iv, x, below)
+            except ClusterError as err:
+                failed = zs & ~(entry[2] | dead)  # the z it is first to fail
+                for z in bits(failed):
+                    errors[z] = err
+                dead |= failed
+                if dead == zs:
+                    upper = []
+                    break
+            else:
+                upper.append(entry)
+
+    hc4 &= ~dead
+    if hc4:
+        err = ClusterError("HC4 violated", _at(iv, x))
+        for z in bits(hc4):
+            errors[z] = err
+    return ClusterRecord(HypercubeCluster(base=x, frontier=frontier, images=theta), errors)
+
+
+def _completion(iv: BruhatInterval, x: int, below: list[int]) -> int:
+    """The common out-neighbour of every pair of the images below an
+    antichain, which must exist, be unique and agree across the pairs,
+    the pairs taken in order; else the ClusterError of the first pair that
+    fails."""
+    out_mask = iv.out_mask
+    image = -1
+    for ai, m1 in enumerate(below):
+        for m2 in below[ai + 1 :]:
+            if m1 == m2:
+                raise ClusterError("hypercube image collapsed", _at(iv, x))
+            common = out_mask[m1] & out_mask[m2]
+            if not common:
+                raise ClusterError("no completion", _at(iv, x))
+            if common & (common - 1):
+                raise ClusterError("ambiguous completion", _at(iv, x))
+            w = common.bit_length() - 1
+            if image < 0:
+                image = w
+            elif image != w:
+                raise ClusterError("ambiguous completion", f"pairs disagree at {_at(iv, x)}")
+    return image
+
+
+def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
+    """The strong hypercube cluster at x relative to the ideal [u, z]:
+    cluster_record for z alone, which prunes nothing; raises its
+    ClusterError when there is none."""
     if not 0 <= z < iv.size:
         raise ValueError(f"z = {z} is not an element index of the interval")
-    ideal = iv.down_mask[z]
-    if not ideal >> x & 1:
+    if not iv.down_mask[z] >> x & 1:
         raise ValueError("x must belong to [u, z]")
-
-    frontier = iv.out_mask[x] & ~ideal
-    incomp = {
-        j: frontier & ~(iv.up_mask[j] | iv.down_mask[j]) for j in bits(frontier)
-    }
-    out_mask = iv.out_mask
-    theta: dict[int, int] = {0: x}
-    for j in incomp:
-        theta[1 << j] = j
-
-    hc4_witness = False
-    level, upper = [0], [1 << j for j in incomp]
-    while upper:
-        grown: set[int] = set()
-        for ymask in level:
-            ext = [j for j in bits(frontier & ~ymask) if not ymask & ~incomp[j]]
-            for ai, a in enumerate(ext):
-                ya = ymask | 1 << a
-                for b in ext[ai + 1 :]:
-                    if incomp[a] >> b & 1:
-                        grown.add(ya | 1 << b)
-                    elif not hc4_witness:
-                        m1, m2 = theta[ya], theta[ymask | 1 << b]
-                        hc4_witness = m1 != m2 and bool(out_mask[m1] & out_mask[m2])
-        level, upper = upper, sorted(grown)
-        for ymask in upper:
-            below = [theta[ymask ^ 1 << p] for p in bits(ymask)]
-            image: Optional[int] = None
-            for ai, m1 in enumerate(below):
-                for m2 in below[ai + 1 :]:
-                    if m1 == m2:
-                        raise ClusterError("hypercube image collapsed", _at(iv, x))
-                    common = out_mask[m1] & out_mask[m2]
-                    if not common:
-                        raise ClusterError("no completion", _at(iv, x))
-                    if common & (common - 1):
-                        raise ClusterError("ambiguous completion", _at(iv, x))
-                    w = common.bit_length() - 1
-                    if image is None:
-                        image = w
-                    elif image != w:
-                        raise ClusterError(
-                            "ambiguous completion", f"pairs disagree at {_at(iv, x)}"
-                        )
-            theta[ymask] = image
-
-    if hc4_witness:
-        raise ClusterError("HC4 violated", _at(iv, x))
-    return HypercubeCluster(base=x, frontier=frontier, images=theta)
+    record = cluster_record(iv, x, 1 << z)
+    if z in record.errors:
+        raise record.errors[z]
+    return record.cluster
 
 
 def _at(iv: BruhatInterval, x: int) -> str:
     """The base of a failed cluster, as a ClusterError detail."""
     return f"x={format_perm(iv.elements[x])}"
-
-
-def restrict_cluster(cluster: HypercubeCluster, frontier: int) -> HypercubeCluster:
-    """The cluster at the same base on a frontier inside cluster.frontier.
-
-    Every check build_cluster makes is local to one antichain, or to one
-    pair of extensions of it, so a cluster on F is a cluster on every
-    F' inside F, with theta restricted to the antichains inside F'.  The
-    images keep their (size, mask) order, which is build_cluster's.  On
-    the same frontier the cluster itself is returned, uncopied."""
-    outside = cluster.frontier & ~frontier
-    if not outside:
-        return cluster
-    images = {y: img for y, img in cluster.images.items() if not y & outside}
-    return HypercubeCluster(base=cluster.base, frontier=frontier, images=images)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +297,10 @@ def restrict_cluster(cluster: HypercubeCluster, frontier: int) -> HypercubeClust
 
 @dataclass(frozen=True)
 class HypercubeDecomposition:
+    """A strong decomposition [u, z]: clusters[x] is the cluster at each x of
+    the ideal.  In a z-scan's decomposition it is the record shared by every
+    z it served, so it may also hold antichains that meet the ideal."""
+
     z: int
     ideal: int
     clusters: dict[int, HypercubeCluster]
@@ -212,60 +315,74 @@ class HcdCheck:
 
 
 def check_strong_hcd(
-    iv: BruhatInterval,
-    z: int,
-    known: Optional[dict[int, list[HypercubeCluster]]] = None,
+    iv: BruhatInterval, z: int, scan: Optional[dict[int, HcdCheck]] = None
 ) -> HcdCheck:
     """Check HD1-HD3 for the ideal [u, z]; on success the decomposition is
     returned inside the check result.  HD2 is decided inside [u, z] alone.
 
-    known, if given, maps a base x to clusters of this interval that
-    succeeded at x, and is kept up to date: a cluster at x whose frontier
-    covers this z's frontier is restricted to it (restrict_cluster) instead
-    of built, and every cluster built here is added.  A restricted cluster
-    always succeeds, so the first x without a cluster, which the HD3 reason
-    names, is always found by a real build_cluster."""
+    scan, if given, is one dict kept across the checks of every z of iv:
+    the first call fills it with every z's verdict (_verdicts over all of
+    them), and each call reads its own."""
     if not 0 <= z < iv.size:
         raise ValueError(f"z = {z} is not an element index of the interval")
-    ideal = iv.down_mask[z]
-    if not _closed_lower_set(iv, ideal):
-        return HcdCheck(False, "HD2", f"[u, {format_perm(iv.elements[z])}] is not diamond-closed")
-    if known is None:
-        known = {}
-    out_mask = iv.out_mask
-    clusters: dict[int, HypercubeCluster] = {}
-    for x in bits(ideal):
-        frontier = out_mask[x] & ~ideal
-        kept = known.setdefault(x, [])
-        for cluster in kept:
-            if not frontier & ~cluster.frontier:
-                clusters[x] = restrict_cluster(cluster, frontier)
-                break
+    if scan is None:
+        return _verdicts(iv, 1 << z)[z]
+    if not scan:
+        scan.update(_verdicts(iv, (1 << iv.size) - 1))
+    return scan[z]
+
+
+def _verdicts(iv: BruhatInterval, zs: int) -> dict[int, HcdCheck]:
+    """The verdict of every z in the mask zs.
+
+    The z that pass HD2 stay alive while the bases x are taken in index
+    order: each x gets one cluster_record for the alive z above it, and a z
+    that has no cluster at x fails HD3 there, so its reason names the first
+    such x.  A z still alive at the end is strong, with the records at the
+    x of its ideal as its clusters."""
+    down_mask = iv.down_mask
+    checks: dict[int, HcdCheck] = {}
+    alive = 0
+    for z in bits(zs):
+        if _closed_lower_set(iv, down_mask[z]):
+            alive |= 1 << z
         else:
-            try:
-                clusters[x] = build_cluster(iv, z, x)
-            except ClusterError as err:
-                return HcdCheck(
-                    False,
-                    "HD3",
-                    f"no cluster at {format_perm(iv.elements[x])}: {err.reason}",
-                )
-            kept.append(clusters[x])
-    return HcdCheck(
-        True,
-        decomposition=HypercubeDecomposition(z=z, ideal=ideal, clusters=clusters),
-    )
+            checks[z] = HcdCheck(
+                False, "HD2", f"[u, {format_perm(iv.elements[z])}] is not diamond-closed"
+            )
+    clusters: dict[int, HypercubeCluster] = {}
+    for x, above in enumerate(iv.up_mask):
+        needed = above & alive
+        if not needed:
+            continue
+        record = cluster_record(iv, x, needed)
+        clusters[x] = record.cluster
+        for z, err in record.errors.items():
+            alive ^= 1 << z
+            checks[z] = HcdCheck(
+                False, "HD3", f"no cluster at {format_perm(iv.elements[x])}: {err.reason}"
+            )
+    for z in bits(alive):
+        ideal = down_mask[z]
+        mine = {x: clusters[x] for x in bits(ideal)}
+        checks[z] = HcdCheck(True, decomposition=HypercubeDecomposition(z, ideal, mine))
+    return checks
 
 
 def htilde(iv: BruhatInterval, hcd: HypercubeDecomposition) -> QPoly:
-    """Sum over x in the ideal and antichains Y with theta(Y) = v of
-    q^|Y| R-tilde(u, x)."""
+    """Sum over x in the ideal and antichains Y outside it with theta(Y) = v
+    of q^|Y| R-tilde(u, x)."""
     top = iv.size - 1
+    ideal = hcd.ideal
     acc = ZERO
-    for x in bits(hcd.ideal):
-        hits = [y.bit_count() for y, img in hcd.clusters[x].images.items() if img == top]
+    for x in bits(ideal):
+        hits = [
+            y.bit_count()
+            for y, img in hcd.clusters[x].images.items()
+            if img == top and not y & ideal
+        ]
         if hits:
-            rt = rtilde_from_r(iv.bottom, iv.elements[x])
+            rt = rtilde_from_r(iv.bottom, iv.elements[x], comparable=True)
             for k in hits:
                 acc = qp_add(acc, qp_shift(rt, k))
     return acc

@@ -191,12 +191,19 @@ def _closed(
     m = len(elements)
     up_mask = [1 << i for i in range(m)]
     down_mask = list(up_mask)
-    for i in range(m):
-        for j in bits(out_mask[i]):
-            down_mask[j] |= down_mask[i]
+    for i, targets in enumerate(out_mask):
+        below = down_mask[i]
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            down_mask[low.bit_length() - 1] |= below
     for i in reversed(range(m)):
-        for j in bits(out_mask[i]):
-            up_mask[i] |= up_mask[j]
+        targets, above = out_mask[i], up_mask[i]
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            above |= up_mask[low.bit_length() - 1]
+        up_mask[i] = above
 
     return BruhatInterval(
         bottom=elements[0],
@@ -217,16 +224,33 @@ def bruhat_order(n: int) -> BruhatInterval:
     return build_interval(identity(n), longest_element(n))
 
 
-def comparable_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
-    """All pairs u <= v in S_n, sorted by (length(v), v, u): the down-masks
-    of [e, w0], read in index order.
+def comparable_pairs(n: int, start: int = 0, step: int = 1) -> Iterator[tuple[Perm, Perm]]:
+    """The pairs u <= v in S_n, sorted by (length(v), v, u): the down-masks
+    of [e, w0], read in index order; of these, the start-th and every
+    step-th after it, as islice(pairs, start, None, step) would give them.
 
-    [e, w0] is bruhat_order(n), kept for the sweep that reads its intervals
-    off it; the pairs are streamed, never held.
+    [e, w0] is bruhat_order(n), built here and kept for the sweep that reads
+    its intervals off it; the pairs are streamed, never held.  A down-mask
+    holding no pair to give is skipped whole, by its bit count.
     """
+    if start < 0 or step < 1:
+        raise ValueError("comparable_pairs needs start >= 0 and step >= 1")
     group = bruhat_order(n)
+    return _strided_pairs(group, start, step)
+
+
+def _strided_pairs(group: BruhatInterval, k: int, step: int) -> Iterator[tuple[Perm, Perm]]:
     w = group.elements
-    return ((w[i], v) for j, v in enumerate(w) for i in bits(group.down_mask[j]))
+    pos = 0  # the position, among all pairs, of the lowest bit left in below
+    for v, below in zip(w, group.down_mask):
+        end = pos + below.bit_count()
+        while k < end:
+            for _ in range(k - pos):
+                below &= below - 1
+            pos = k
+            yield w[(below & -below).bit_length() - 1], v
+            k += step
+        pos = end
 
 
 def atom_indices(iv: BruhatInterval) -> tuple[tuple[int, Reflection], ...]:

@@ -131,7 +131,11 @@ def r_poly(u: Perm, v: Perm) -> QPoly:
     where l = l(u, v) is the degree of R-tilde and c_k = 0 unless k = l mod 2.
     R(u, u) = 1, and R(u, v) = 0 when u is not <= v.
     """
-    rt = _rtilde_or_zero(u, v)
+    return _r_of(_rtilde_or_zero(u, v))
+
+
+def _r_of(rt: QPoly) -> QPoly:
+    """R read off R-tilde, as r_poly describes."""
     ell = len(rt) - 1
     out = [0] * (ell + 1)
     for k, c in enumerate(rt):
@@ -177,7 +181,7 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
             continue
         partial = ZERO
         for a in bits(iv.up_mask[i] ^ (1 << i)):
-            partial = qp_add(partial, qp_mul(r_poly(x, iv.elements[a]), table[a]))
+            partial = qp_add(partial, qp_mul(_r_of(_rtilde(x, iv.elements[a])), table[a]))
         ell = iv.length - iv.rank[i]
         bound = (ell - 1) // 2
         res = qp_normalize(
@@ -191,10 +195,12 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
     return table[0]
 
 
-def rtilde_from_r(u: Perm, v: Perm) -> QPoly:
+def rtilde_from_r(u: Perm, v: Perm, comparable: bool = False) -> QPoly:
     """The R-tilde polynomial, by the one descent recurrence of this module
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 5.3); raises
-    ValueError unless u <= v.
+    ValueError unless u <= v.  comparable=True says the caller knows that
+    u <= v, and skips the test: the pairs of a sweep and the x of [u, v] in
+    a sum over the interval are comparable by construction.
 
     R-tilde(u, u) = 1; R-tilde(u, v) = 0 when u is not <= v; otherwise, for
     the smallest right descent s of v: R-tilde(us, vs) when s is also a
@@ -204,7 +210,7 @@ def rtilde_from_r(u: Perm, v: Perm) -> QPoly:
     term R-tilde(us, vs) is zero unless us <= vs.  So u <= v is decided once,
     on a memo miss, and the memo holds no zero polynomial.
     """
-    res = _rtilde_or_zero(u, v)
+    res = _rtilde(u, v) if comparable else _rtilde_or_zero(u, v)
     if not res:
         raise ValueError("R-tilde requires u <= v")
     return res

@@ -22,7 +22,6 @@ from bruhat_hypercubes.errors import ClusterError
 from bruhat_hypercubes.hypercubes import (
     HypercubeCluster,
     HypercubeDecomposition,
-    build_cluster,
     enumerate_diamonds,
     htilde,
 )
@@ -325,11 +324,74 @@ def is_diamond_closed(iv: BruhatInterval, mask: int) -> bool:
     return True
 
 
+def reference_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
+    """The strong hypercube cluster at x for the ideal [u, z], for this one
+    z, or ClusterError: a per-z construction independent of the library's
+    records, the oracle of ``build_cluster`` and ``cluster_record``.
+
+    Level by level: the round at size k walks every pair a < b of
+    extensions of each antichain Y of size k; Y + a + b joins level k + 2
+    when a and b are incomparable, and when they are comparable,
+    theta(Y + a) != theta(Y + b) with a common out-neighbour is an HC4
+    witness.  Each new level is completed in ascending mask order through
+    every pair of members.  A construction error raises at once; "HC4
+    violated" only once every level is built."""
+    ideal = iv.down_mask[z]
+    assert ideal >> x & 1
+    frontier = iv.out_mask[x] & ~ideal
+    incomp = {
+        j: frontier & ~(iv.up_mask[j] | iv.down_mask[j]) for j in mask_bits(frontier)
+    }
+    out_mask = iv.out_mask
+    at = f"x={format_perm(iv.elements[x])}"
+    theta: dict[int, int] = {0: x}
+    for j in incomp:
+        theta[1 << j] = j
+
+    hc4_witness = False
+    level, upper = [0], [1 << j for j in incomp]
+    while upper:
+        grown: set[int] = set()
+        for ymask in level:
+            ext = [j for j in mask_bits(frontier & ~ymask) if not ymask & ~incomp[j]]
+            for ai, a in enumerate(ext):
+                ya = ymask | 1 << a
+                for b in ext[ai + 1 :]:
+                    if incomp[a] >> b & 1:
+                        grown.add(ya | 1 << b)
+                    elif not hc4_witness:
+                        m1, m2 = theta[ya], theta[ymask | 1 << b]
+                        hc4_witness = m1 != m2 and bool(out_mask[m1] & out_mask[m2])
+        level, upper = upper, sorted(grown)
+        for ymask in upper:
+            below = [theta[ymask ^ 1 << p] for p in mask_bits(ymask)]
+            image = None
+            for ai, m1 in enumerate(below):
+                for m2 in below[ai + 1 :]:
+                    if m1 == m2:
+                        raise ClusterError("hypercube image collapsed", at)
+                    common = out_mask[m1] & out_mask[m2]
+                    if not common:
+                        raise ClusterError("no completion", at)
+                    if common & (common - 1):
+                        raise ClusterError("ambiguous completion", at)
+                    w = common.bit_length() - 1
+                    if image is None:
+                        image = w
+                    elif image != w:
+                        raise ClusterError("ambiguous completion", f"pairs disagree at {at}")
+            theta[ymask] = image
+
+    if hc4_witness:
+        raise ClusterError("HC4 violated", at)
+    return HypercubeCluster(base=x, frontier=frontier, images=theta)
+
+
 def zscan_row(iv: BruhatInterval, z: int, rt: QPoly) -> dict:
     """The strong, reason, h_tilde and verdict fields of the z-scan row of
     [u, z], by the per-z route: HD2 by scanning every diamond with
-    ``is_diamond_closed``, then ``build_cluster`` at each x of [u, z] in
-    index order, the first ``ClusterError`` giving the HD3 reason."""
+    ``is_diamond_closed``, then ``reference_cluster`` at each x of [u, z]
+    in index order, the first ``ClusterError`` giving the HD3 reason."""
     ideal = iv.down_mask[z]
     row = {"strong": False, "reason": None, "h_tilde": None, "verdict": None}
     if not is_diamond_closed(iv, ideal):
@@ -338,7 +400,7 @@ def zscan_row(iv: BruhatInterval, z: int, rt: QPoly) -> dict:
     clusters = {}
     for x in mask_bits(ideal):
         try:
-            clusters[x] = build_cluster(iv, z, x)
+            clusters[x] = reference_cluster(iv, z, x)
         except ClusterError as err:
             row["reason"] = f"HD3: no cluster at {format_perm(iv.elements[x])}: {err.reason}"
             return row
@@ -350,9 +412,10 @@ def zscan_row(iv: BruhatInterval, z: int, rt: QPoly) -> dict:
 def check_cluster_axioms(iv: BruhatInterval, ideal: int, cluster: HypercubeCluster) -> None:
     """Assert that ``cluster`` satisfies the cluster axioms of the
     ``hypercubes`` module docstring relative to the lower set ``ideal``,
-    reading only ``out_mask``, ``up_mask`` and ``down_mask``; it never calls
-    ``build_cluster``, so it backs every cluster the library builds (those
-    of ``check_strong_hcd``, ``standard_hcd`` and ``zscan_row``)."""
+    reading only ``out_mask``, ``up_mask`` and ``down_mask``; it builds no
+    cluster, so it backs every cluster the library builds (those of
+    ``check_strong_hcd``, ``standard_hcd`` and the z-scan's records) and
+    ``reference_cluster``."""
     x, theta = cluster.base, cluster.images
     frontier = iv.out_mask[x] & ~ideal
     assert ideal >> x & 1 and cluster.frontier == frontier

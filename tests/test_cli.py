@@ -291,6 +291,27 @@ def test_counterexample_exit_code(capsys, monkeypatch):
     assert "COUNTEREXAMPLE" in err
 
 
+def test_verify_tests_bruhat_order_only_inside_the_r_tilde_recurrence(capsys, monkeypatch):
+    # the sweep's pairs and the x of [u, v] in H-tilde are comparable by
+    # construction, so a cold R-tilde memo pays bruhat_leq only where the
+    # recurrence needs it (us <= vs): 106 calls, where testing every top-level
+    # memo miss too made 319, one more for each of the 213 intervals
+    from bruhat_hypercubes import polynomials
+
+    calls = []
+    real = polynomials.bruhat_leq
+
+    def counting(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(polynomials, "_RT_MEMO", {})
+    monkeypatch.setattr(polynomials, "bruhat_leq", counting)
+    code, out, _ = run(capsys, "verify", "4", "--exhaustive-z", "--jobs", "1")
+    assert code == 0 and "verified 213 intervals" in out
+    assert len(calls) == 106
+
+
 def test_verify_computes_each_strong_h_tilde_once(capsys, monkeypatch):
     # the standard z is one of the strong z of the scan: its H-tilde is
     # computed for the standard report and reused by its scan row
@@ -405,10 +426,10 @@ S5_REASONS_SHA256 = "2e7af967101d6f1916c5e49b88b6637046a1035865f878e2efb817d2143
 
 def test_z_scan_rows_match_the_per_z_oracle_s5():
     # every row of every S_5 interval, the standard z's reused row included,
-    # against HD2 by a scan of the diamonds and HD3 by build_cluster per x
-    # the reasons also in stream order, against a digest recorded at f113ed4:
-    # zscan_row calls the library's own build_cluster, so only this pins
-    # which failure each cluster reports first
+    # against HD2 by a scan of the diamonds and HD3 by reference_cluster per
+    # x, a per-z construction apart from the scan's records; the reasons
+    # also in stream order, against a digest recorded at f113ed4, which
+    # pins which failure each cluster reports first independently of both
     fields = ("strong", "reason", "h_tilde", "verdict")
     rows = reused = 0
     axioms: dict = {}

@@ -11,6 +11,7 @@ from bruhat_hypercubes.errors import (
 )
 from bruhat_hypercubes import hypercubes, intervals
 from bruhat_hypercubes.hypercubes import (
+    HypercubeCluster,
     build_cluster,
     check_strong_hcd,
     coset_ideal_form,
@@ -60,6 +61,7 @@ from helpers import (
     is_diamond_closed,
     mask_bits,
     random_functional_order,
+    reference_cluster,
 )
 
 
@@ -202,17 +204,48 @@ def test_lemma_dc_of_atoms_recovers_ideal_s4():
             assert diamond_closure(iv, seed) == mask, (u, v, mask)
 
 
+def matches_reference(iv, z, x):
+    """build_cluster(iv, z, x) against reference_cluster: the same cluster,
+    images in the same order, or the same ClusterError (reason and
+    detail); returns the cluster, or None."""
+    try:
+        want = reference_cluster(iv, z, x)
+    except ClusterError as err:
+        with pytest.raises(ClusterError) as got:
+            build_cluster(iv, z, x)
+        assert (got.value.reason, str(got.value)) == (err.reason, str(err))
+        return None
+    got = build_cluster(iv, z, x)
+    assert got.base == want.base and got.frontier == want.frontier
+    assert list(got.images.items()) == list(want.images.items())
+    return got
+
+
 def test_build_cluster_trivial_and_hypercube():
     iv = build_interval((1, 2, 3), (2, 1, 3))
     # ideal is everything: empty frontier
-    cl = build_cluster(iv, 1, 1)
+    cl = matches_reference(iv, 1, 1)
     assert cl.frontier == 0 and cl.images == {0: 1}
 
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
-    cl = build_cluster(ivh, 0, 0)
+    cl = matches_reference(ivh, 0, 0)
     assert cl.frontier.bit_count() == 4
     assert len(cl.images) == 16  # every subset of the atoms is an antichain
     assert cl.images[cl.frontier] == ivh.size - 1
+
+
+def test_build_cluster_equals_reference_cluster_s4():
+    # every base x of every ideal [u, z] of every S_4 interval
+    built = failed = 0
+    for u, v in comparable_pairs(4):
+        iv = build_interval(u, v)
+        for z in range(iv.size):
+            for x in mask_bits(iv.down_mask[z]):
+                if matches_reference(iv, z, x) is None:
+                    failed += 1
+                else:
+                    built += 1
+    assert (built, failed) == (3_673, 292)
 
 
 def test_build_cluster_failure_modes():
@@ -220,8 +253,9 @@ def test_build_cluster_failure_modes():
     with pytest.raises(ClusterError) as err:
         build_cluster(iv, 0, 0)
     assert err.value.reason == "ambiguous completion"
+    assert matches_reference(iv, 0, 0) is None
     z = iv.index[(1, 3, 2)]  # [u, z] = {123, 132}
-    assert build_cluster(iv, z, 0).base == 0
+    assert matches_reference(iv, z, 0).base == 0
     with pytest.raises(ValueError):
         build_cluster(iv, z, iv.index[(2, 3, 1)])  # x outside [u, z]
     with pytest.raises(ValueError):
@@ -240,6 +274,7 @@ def test_build_cluster_final_hc4_pass_fires_s5():
     with pytest.raises(ClusterError) as err:
         build_cluster(iv, z, x)
     assert err.value.reason == "HC4 violated"
+    assert matches_reference(iv, z, x) is None
 
     # the same witness from the masks alone: theta by unique completion,
     # antichain by antichain, then a completion over a non-antichain union
@@ -285,6 +320,7 @@ def test_build_cluster_construction_errors_win_over_hc4():
     with pytest.raises(ClusterError) as err:
         build_cluster(iv, z, x)
     assert err.value.reason == "ambiguous completion"
+    assert matches_reference(iv, z, x) is None
     assert check_strong_hcd(iv, z).reason == "no cluster at 12345: ambiguous completion"
 
     # both failures from the masks alone, among the singletons theta({j}) = j
@@ -315,6 +351,7 @@ def test_build_cluster_raises_on_a_collapsed_image():
         build_cluster(iv, 0, 0)
     assert err.value.reason == "hypercube image collapsed"
     assert str(err.value) == "hypercube image collapsed: x=0"
+    assert matches_reference(iv, 0, 0) is None
 
 
 def test_build_cluster_raises_when_pair_completions_disagree():
@@ -326,6 +363,8 @@ def test_build_cluster_raises_when_pair_completions_disagree():
         build_cluster(iv, 0, 0)
     assert err.value.reason == "ambiguous completion"
     assert str(err.value) == "ambiguous completion: pairs disagree at x=0"
+    assert matches_reference(iv, 0, 0) is None
+
 
 def test_cluster_axiom_oracle_rejects_tampered_clusters():
     ivh = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
@@ -372,88 +411,77 @@ def test_standard_clusters_satisfy_the_axioms_s6():
     assert checked == 500
 
 
-def test_restricted_clusters_equal_fresh_builds_s5(monkeypatch):
-    # the exhaustive scan of every S_5 interval, through cli.analyze_interval:
-    # every cluster it restricts instead of building equals build_cluster at
-    # that z, images in the same order, and passes the axiom oracle
-    from bruhat_hypercubes import cli
+def scan_records(monkeypatch, iv):
+    """The records of one z-scan of iv, the scan cli.analyze_interval runs,
+    as (x, zs, record) in the order they are made."""
+    made = []
+    real = hypercubes.cluster_record
 
-    at: dict = {}
-    real_check, real_restrict = cli.check_strong_hcd, hypercubes.restrict_cluster
+    def recording(iv, x, zs):
+        record = real(iv, x, zs)
+        made.append((x, zs, record))
+        return record
 
-    def check(iv, z, known=None):
-        at.update(iv=iv, z=z)
-        return real_check(iv, z, known)
+    with monkeypatch.context() as patch:
+        patch.setattr(hypercubes, "cluster_record", recording)
+        verdicts: dict = {}
+        for z in range(iv.size):
+            check_strong_hcd(iv, z, verdicts)
+    return made
 
-    def restrict(cluster, frontier):
-        iv, z = at["iv"], at["z"]
-        got = real_restrict(cluster, frontier)
-        want = build_cluster(iv, z, cluster.base)
-        assert got.frontier == want.frontier
-        assert list(got.images.items()) == list(want.images.items())
-        check_cluster_axioms(iv, iv.down_mask[z], got)
-        restricted.append(got.frontier.bit_count())
-        return got
 
-    restricted: list[int] = []
-    monkeypatch.setattr(cli, "check_strong_hcd", check)
-    monkeypatch.setattr(hypercubes, "restrict_cluster", restrict)
+def test_scan_records_agree_with_reference_clusters_s5(monkeypatch):
+    # every record of the z-scan of every S_5 interval, at every z it
+    # serves: the antichains inside that z's frontier are reference_cluster's
+    # in its (size, mask) order and pass the axiom oracle, or the record
+    # gives that z the reference's error
+    served = failed = 0
     for u, v in comparable_pairs(5):
-        cli.analyze_interval(build_interval(u, v), True)
-    # not vacuous: about half the reuses keep a non-empty frontier
-    assert len(restricted) == 102_943
-    assert sum(k > 0 for k in restricted) == 62_443
+        iv = build_interval(u, v)
+        for x, zs, record in scan_records(monkeypatch, iv):
+            for z in mask_bits(zs):
+                ideal = iv.down_mask[z]
+                try:
+                    want = reference_cluster(iv, z, x)
+                except ClusterError as err:
+                    got = record.errors[z]
+                    assert (got.reason, str(got)) == (err.reason, str(err)), (u, v, z, x)
+                    failed += 1
+                    continue
+                assert z not in record.errors
+                inside = [(y, img) for y, img in record.cluster.images.items() if not y & ideal]
+                assert inside == list(want.images.items()), (u, v, z, x)
+                check_cluster_axioms(iv, ideal, HypercubeCluster(x, want.frontier, dict(inside)))
+                served += 1
+    assert (served, failed) == (158_262, 9_304)
 
 
-def mask_bits_subsets(mask):
-    members = list(mask_bits(mask))
-    for k in range(len(members) + 1):
-        for chosen in itertools.combinations(members, k):
-            yield sum(1 << j for j in chosen)
+def test_a_scan_makes_one_record_per_element_s5(monkeypatch):
+    # one record per base x serves every z above it, so a scan makes at most
+    # one per element; in S_5 every element gets one, where building per z
+    # takes 167,566 clusters
+    records = 0
+    for u, v in comparable_pairs(5):
+        iv = build_interval(u, v)
+        bases = [x for x, _, _ in scan_records(monkeypatch, iv)]
+        assert bases == list(range(iv.size))
+        records += len(bases)
+    assert records == 52_800
 
 
-def test_restriction_keeps_the_antichains_inside_the_frontier():
-    # [1324, 4231]: the cluster at u is the 4-cube on its atoms, so every
-    # subset of the frontier is one to restrict to
-    iv = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
-    full = build_cluster(iv, 0, 0)
-    assert len(full.images) == 16
-    assert hypercubes.restrict_cluster(full, full.frontier) == full
-    for frontier in mask_bits_subsets(full.frontier):
-        got = hypercubes.restrict_cluster(full, frontier)
-        assert got.base == 0 and got.frontier == frontier
-        # every subset of F, in build_cluster's (size, mask) order
-        inside = sorted(mask_bits_subsets(frontier), key=lambda y: (y.bit_count(), y))
-        assert list(got.images) == inside
-        assert all(got.images[y] == full.images[y] for y in inside)
-
-
-def test_check_strong_hcd_reuses_only_covering_clusters():
-    # a kept cluster is reused exactly when its frontier covers the one the
-    # ideal leaves; otherwise the cluster is built, and kept
-    iv = build_interval((1, 3, 2, 4), (4, 2, 3, 1))
-    z = iv.size - 1  # [u, v] itself: every frontier is empty
-    x = 0
-    own = build_cluster(iv, 0, x)
-    known = {x: [own]}
-    chk = check_strong_hcd(iv, z, known)
-    assert chk.ok
-    assert chk.decomposition.clusters[x].images == {0: x}
-    assert known[x] == [own]  # restricted, so nothing new kept
-    for y in mask_bits(iv.down_mask[z] & ~1):
-        assert len(known[y]) == 1  # every other base was built and kept
-    plain = check_strong_hcd(iv, z)
-    assert plain.decomposition.clusters == chk.decomposition.clusters
-
-    # [u, a] for an atom a leaves u three of its four atoms; [u, u] needs
-    # all four, which that cluster does not cover
-    a = next(mask_bits(iv.out_mask[0]))
-    small = build_cluster(iv, a, x)
-    known = {x: [small]}
-    chk = check_strong_hcd(iv, 0, known)
-    assert chk.ok and len(known[x]) == 2 and known[x][0] is small
-    assert chk.decomposition.clusters[x] is known[x][1]
-    assert known[x][1] == build_cluster(iv, 0, x)
+def test_a_record_skips_antichains_in_no_single_frontier():
+    # [123, 231] at x = u: [u, 132] leaves the frontier {213}, [u, 213]
+    # leaves {132}.  {132, 213} is an antichain of the union of the two,
+    # inside neither, so their record gives it no image; [u, u] alone
+    # leaves both, and its cluster completes the pair to 231
+    iv = build_interval((1, 2, 3), (2, 3, 1))
+    a, b = iv.index[(1, 3, 2)], iv.index[(2, 1, 3)]
+    pair = 1 << a | 1 << b
+    assert not (iv.up_mask[a] | iv.down_mask[a]) >> b & 1
+    record = hypercubes.cluster_record(iv, 0, pair)  # z = 132 and 213
+    assert record.cluster.frontier == pair and not record.errors
+    assert record.cluster.images == {0: 0, 1 << a: a, 1 << b: b}
+    assert build_cluster(iv, 0, 0).images[pair] == iv.index[(2, 3, 1)]
 
 
 def test_is_strong_hcd_examples():

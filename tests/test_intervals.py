@@ -112,6 +112,22 @@ def test_comparable_pairs_are_read_off_the_group_interval():
     assert len(tuple(intervals.comparable_pairs(6))) == 98407
 
 
+def test_comparable_pairs_start_and_step_equal_islice():
+    # the strided walk skips whole down-masks by bit count; it must give
+    # islice(pairs, start, None, step) exactly, across mask boundaries and
+    # past the last pair
+    for n in (4, 5):
+        pairs = comparable_pairs(n)
+        starts = list(range(0, 40)) + [len(pairs) - 2, len(pairs) - 1, len(pairs), len(pairs) + 5]
+        for step in (1, 2, 3, 7, 16, 101, 400, len(pairs) - 1, len(pairs), 10**6):
+            for start in starts:
+                want = tuple(itertools.islice(pairs, start, None, step))
+                assert tuple(intervals.comparable_pairs(n, start, step)) == want, (n, start, step)
+    for start, step in ((-1, 1), (0, 0)):
+        with pytest.raises(ValueError):
+            intervals.comparable_pairs(4, start, step)
+
+
 FIELDS = ("bottom", "top", "elements", "index", "rank", "out_mask", "up_mask", "down_mask")
 
 
