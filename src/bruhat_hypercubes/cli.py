@@ -66,39 +66,15 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
         "counterexamples": [],
     }
     counts = {"strong": 0, "equal": 0, "strict": 0}
-    hcd = standard_h = None
-    if u != v:
-        hcd = standard_hcd(iv)
-        standard_h = htilde(iv, hcd)
-        verdict = compare_coefficientwise(standard_h, rt)
-        report["standard"] = {
-            "d": first_disagreement(u, v),
-            "z": format_perm(iv.elements[hcd.z]),
-            "ideal_size": hcd.ideal.bit_count(),
-            "h_tilde": list(standard_h),
-            "verdict": verdict,
-        }
-        if verdict != EQUAL:
-            report["counterexamples"].append(
-                f"standard decomposition of [{format_perm(u)}, {format_perm(v)}]"
-                f" gives H = {format_qpoly(standard_h)} != R-tilde = {format_qpoly(rt)}"
-            )
-    else:
-        report["standard"] = None
-
+    verdicts = None
     if exhaustive_z:
         scan = []
-        verdicts: dict = {}  # every z's, filled by the first check
+        verdicts = {}  # every z's, filled by the first check
+        h_of: dict = {}  # H~ of each strong z
         for z in range(iv.size):
             check = check_strong_hcd(iv, z, verdicts)
             ok = check.ok
             reason = None if ok else f"{check.failed_axiom}: {check.reason}"
-            if not ok:
-                h = None
-            elif hcd is not None and z == hcd.z:
-                h = standard_h
-            else:
-                h = htilde(iv, check.decomposition)
             row: dict = {
                 "z": format_perm(iv.elements[z]),
                 "strong": ok,
@@ -109,6 +85,7 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
             }
             if ok:
                 counts["strong"] += 1
+                h = h_of[z] = htilde(iv, check.decomposition)
                 verdict = compare_coefficientwise(h, rt)
                 row["h_tilde"] = list(h)
                 row["verdict"] = verdict
@@ -123,6 +100,27 @@ def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
                     )
             scan.append(row)
         report["z_scan"] = scan
+
+    if u != v:
+        # under the scan, the standard z is one of the scanned z
+        hcd = standard_hcd(iv, verdicts)
+        standard_h = htilde(iv, hcd) if verdicts is None else h_of[hcd.z]
+        verdict = compare_coefficientwise(standard_h, rt)
+        report["standard"] = {
+            "d": first_disagreement(u, v),
+            "z": format_perm(iv.elements[hcd.z]),
+            "ideal_size": hcd.ideal.bit_count(),
+            "h_tilde": list(standard_h),
+            "verdict": verdict,
+        }
+        if verdict != EQUAL:
+            report["counterexamples"].insert(
+                0,
+                f"standard decomposition of [{format_perm(u)}, {format_perm(v)}]"
+                f" gives H = {format_qpoly(standard_h)} != R-tilde = {format_qpoly(rt)}",
+            )
+    else:
+        report["standard"] = None
     report["counts"] = counts
     return report
 

@@ -25,10 +25,12 @@ and theta(Y) does not depend on the ideal; so cluster_record, the one
 cluster construction, builds the clusters at x for a whole set of ideals
 [u, z] at once, on the union of their frontiers, and reads each z's
 verdict off bitmasks: an antichain Y lies inside the frontier of [u, z]
-iff z is outside up(Y).  build_cluster is its view for one z, and a z-scan
-makes one record per base x, for the z above x still alive.  The standard
-decomposition takes its clusters from the same construction and checks
-the explicit cycle formula on them.  Ideals, frontiers and antichains are
+iff z is outside up(Y).  A record is the plain pair (cluster, errors);
+build_cluster is its view for one z, and a z-scan makes one record per
+base x, for the z above x still alive.  The standard decomposition takes
+its clusters from the same construction, and under a z-scan from that
+scan's records, as its z is one of the scanned z; it checks the explicit
+cycle formula on its own part of them.  Ideals, frontiers and antichains are
 bitmasks over the interval's element indices, and diamonds are plain
 (x1, x2, x3, x4) tuples of them.  HD2 is decided inside [u, z]: a lower
 set holds three vertices of a diamond only as x1, x2 and x3, so it fails
@@ -104,24 +106,16 @@ class HypercubeCluster:
     images: dict[int, int]
 
 
-@dataclass(frozen=True)
-class ClusterRecord:
-    """The clusters at one base for a set of ideals [u, z] at once.
-
-    errors maps each z that has no cluster at the base to its ClusterError.
-    cluster.frontier is the union of the frontiers, and cluster.images, in
-    (size, mask) order, holds theta on the antichains inside them: for each
-    z not in errors, on every antichain inside its own frontier, which is
-    its cluster."""
-
-    cluster: HypercubeCluster
-    errors: dict[int, ClusterError]
-
-
-def cluster_record(iv: BruhatInterval, x: int, zs: int) -> ClusterRecord:
+def cluster_record(
+    iv: BruhatInterval, x: int, zs: int
+) -> tuple[HypercubeCluster, dict[int, ClusterError]]:
     """The clusters at x for every ideal [u, z], z in the mask zs (each
-    with x <= z), built once on the union of their frontiers.  Never
-    raises: a z without a cluster gets its ClusterError.
+    with x <= z), built once on the union of their frontiers, as the pair
+    (cluster, errors).  Never raises: errors maps each z that has no
+    cluster at x to its ClusterError.  cluster.frontier is the union of the
+    frontiers, and cluster.images, in (size, mask) order, holds theta on
+    the antichains inside them: for each z not in errors, on every
+    antichain inside its own frontier, which is its cluster.
 
     Every check is local to one antichain Y, or to Y and a pair of its
     extensions, and theta(Y) does not depend on z; so the cluster for one z
@@ -245,7 +239,7 @@ def cluster_record(iv: BruhatInterval, x: int, zs: int) -> ClusterRecord:
         err = ClusterError("HC4 violated", _at(iv, x))
         for z in bits(hc4):
             errors[z] = err
-    return ClusterRecord(HypercubeCluster(base=x, frontier=frontier, images=theta), errors)
+    return HypercubeCluster(base=x, frontier=frontier, images=theta), errors
 
 
 def _completion(iv: BruhatInterval, x: int, below: list[int]) -> int:
@@ -280,10 +274,10 @@ def build_cluster(iv: BruhatInterval, z: int, x: int) -> HypercubeCluster:
         raise ValueError(f"z = {z} is not an element index of the interval")
     if not iv.down_mask[z] >> x & 1:
         raise ValueError("x must belong to [u, z]")
-    record = cluster_record(iv, x, 1 << z)
-    if z in record.errors:
-        raise record.errors[z]
-    return record.cluster
+    cluster, errors = cluster_record(iv, x, 1 << z)
+    if z in errors:
+        raise errors[z]
+    return cluster
 
 
 def _at(iv: BruhatInterval, x: int) -> str:
@@ -298,8 +292,10 @@ def _at(iv: BruhatInterval, x: int) -> str:
 @dataclass(frozen=True)
 class HypercubeDecomposition:
     """A strong decomposition [u, z]: clusters[x] is the cluster at each x of
-    the ideal.  In a z-scan's decomposition it is the record shared by every
-    z it served, so it may also hold antichains that meet the ideal."""
+    the ideal.  In a z-scan's decomposition, the standard one read off a
+    scan included, it is the record shared by every z it served: the
+    cluster of [u, z] is its frontier outside the ideal and the antichains
+    that miss the ideal."""
 
     z: int
     ideal: int
@@ -355,9 +351,8 @@ def _verdicts(iv: BruhatInterval, zs: int) -> dict[int, HcdCheck]:
         needed = above & alive
         if not needed:
             continue
-        record = cluster_record(iv, x, needed)
-        clusters[x] = record.cluster
-        for z, err in record.errors.items():
+        clusters[x], errors = cluster_record(iv, x, needed)
+        for z, err in errors.items():
             alive ^= 1 << z
             checks[z] = HcdCheck(
                 False, "HD3", f"no cluster at {format_perm(iv.elements[x])}: {err.reason}"
@@ -401,19 +396,23 @@ def first_disagreement(u: Perm, v: Perm) -> int:
     raise ValueError("u and v coincide")
 
 
-def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
+def standard_hcd(
+    iv: BruhatInterval, scan: Optional[dict[int, HcdCheck]] = None
+) -> HypercubeDecomposition:
     """The standard decomposition (Blundell-Buesing-Davies-Velickovic-
     Williamson, arXiv:2111.15161), read on [u, v] itself at the smallest
     disagreeing value d.
 
     The values 1..d-1 sit at the same positions in every element of [u, v],
     so the ideal is {x : x(p) = d} for p = u^-1(d).  Its clusters are the
-    ones check_strong_hcd builds by diamond completion, so a successful
-    return is a verified strong decomposition.  The explicit formula is then
-    checked on them as a certificate: the frontier of each x is reached by
-    moving d to a later position, the antichains of the frontier are the
-    sets of positions where x decreases, and each cluster image is the
-    right-multiplication cycle through p and those positions.
+    ones check_strong_hcd(iv, z, scan) builds by diamond completion, so a
+    successful return is a verified strong decomposition; given a z-scan's
+    dict, they are that scan's shared records.  The explicit formula is
+    then checked as a certificate on each cluster's own part, its frontier
+    outside the ideal and the antichains that miss the ideal: that frontier
+    is reached by moving d to a later position, its antichains are the sets
+    of positions where x decreases, and each image is the right-
+    multiplication cycle through p and those positions.
     """
     u, v = iv.bottom, iv.top
     if u == v:
@@ -428,7 +427,7 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
     if z == iv.size - 1:
         raise InvariantViolation("standard ideal must be proper")
 
-    verdict = check_strong_hcd(iv, z)
+    verdict = check_strong_hcd(iv, z, scan)
     if not verdict.ok:
         raise InvariantViolation(
             f"standard decomposition failed {verdict.failed_axiom}: {verdict.reason}"
@@ -436,15 +435,16 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
     hcd = verdict.decomposition
     for i, cluster in hcd.clusters.items():
         x = iv.elements[i]
+        frontier = cluster.frontier & ~ideal
         position: dict[int, int] = {}
-        for j in bits(cluster.frontier):
+        for j in bits(frontier):
             pos_of_d = iv.elements[j].index(d) + 1
             if pos_of_d <= p or right_cycle(x, (p, pos_of_d)) != iv.elements[j]:
                 raise InvariantViolation("frontier element is not a cycle image")
             position[j] = pos_of_d
         # antichain and decreasing position set are both pairwise conditions
         for a in position:
-            for b in bits(cluster.frontier >> (a + 1) << (a + 1)):
+            for b in bits(frontier >> (a + 1) << (a + 1)):
                 incomparable = not (iv.up_mask[a] | iv.down_mask[a]) >> b & 1
                 first, second = sorted((position[a], position[b]))
                 if incomparable != (x[first - 1] > x[second - 1]):
@@ -452,6 +452,8 @@ def standard_hcd(iv: BruhatInterval) -> HypercubeDecomposition:
                         "antichains do not match decreasing position sets"
                     )
         for ymask, image in cluster.images.items():
+            if ymask & ideal:
+                continue  # an antichain of another z of a shared record
             cycle = (p, *sorted(position[j] for j in bits(ymask)))
             if right_cycle(x, cycle) != iv.elements[image]:
                 raise InvariantViolation(

@@ -290,14 +290,3 @@ def check_E_properties(iv: BruhatInterval, mask: int, order: ReflectionOrder) ->
         raise InvariantViolation("E must imply E1 and E2")
     return EFlags(e1=e1, e2=e2, e=e)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def order_to_json(order: ReflectionOrder) -> list[list[int]]:
-    return [[t[0], t[1]] for t in order.ordered]
-
-
-def order_from_json(payload: Sequence[Sequence[int]]) -> ReflectionOrder:
-    return make_order(tuple((int(a), int(b)) for a, b in payload))

@@ -314,7 +314,7 @@ def test_verify_tests_bruhat_order_only_inside_the_r_tilde_recurrence(capsys, mo
 
 def test_verify_computes_each_strong_h_tilde_once(capsys, monkeypatch):
     # the standard z is one of the strong z of the scan: its H-tilde is
-    # computed for the standard report and reused by its scan row
+    # computed for its scan row and reused by the standard report
     calls = []
     real = cli.htilde
 
@@ -629,6 +629,12 @@ def test_z_scan_counterexample_rows_at_two_jobs(capsys, monkeypatch, forks):
     standard = re.findall(r"^COUNTEREXAMPLE: standard decomposition ", err, re.M)
     assert len(standard) == 19 - 6
     assert summary["summary"]["counterexamples"] == len(named) + len(standard)
+    # the standard message leads each report's list, ahead of its scan rows
+    assert all(
+        r["counterexamples"][0].startswith("standard decomposition ")
+        for r in reports
+        if r["u"] != r["v"]
+    )
 
 
 def test_an_iso_class_with_two_polynomials_is_a_counterexample(capsys, monkeypatch, forks):

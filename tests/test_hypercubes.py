@@ -9,7 +9,7 @@ from bruhat_hypercubes.errors import (
     ClusterError,
     InvariantViolation,
 )
-from bruhat_hypercubes import hypercubes, intervals
+from bruhat_hypercubes import cli, hypercubes, intervals
 from bruhat_hypercubes.hypercubes import (
     HypercubeCluster,
     build_cluster,
@@ -411,9 +411,9 @@ def test_standard_clusters_satisfy_the_axioms_s6():
     assert checked == 500
 
 
-def scan_records(monkeypatch, iv):
-    """The records of one z-scan of iv, the scan cli.analyze_interval runs,
-    as (x, zs, record) in the order they are made."""
+def recorded(monkeypatch, run):
+    """The records cluster_record makes while run() runs, as
+    (x, zs, (cluster, errors)) in the order they are made."""
     made = []
     real = hypercubes.cluster_record
 
@@ -424,10 +424,21 @@ def scan_records(monkeypatch, iv):
 
     with monkeypatch.context() as patch:
         patch.setattr(hypercubes, "cluster_record", recording)
-        verdicts: dict = {}
-        for z in range(iv.size):
-            check_strong_hcd(iv, z, verdicts)
+        run()
     return made
+
+
+def z_scan(iv):
+    """The verdicts of one z-scan of iv, the scan cli.analyze_interval runs."""
+    verdicts: dict = {}
+    for z in range(iv.size):
+        check_strong_hcd(iv, z, verdicts)
+    return verdicts
+
+
+def scan_records(monkeypatch, iv):
+    """The records of one z-scan of iv."""
+    return recorded(monkeypatch, lambda: z_scan(iv))
 
 
 def test_scan_records_agree_with_reference_clusters_s5(monkeypatch):
@@ -438,18 +449,18 @@ def test_scan_records_agree_with_reference_clusters_s5(monkeypatch):
     served = failed = 0
     for u, v in comparable_pairs(5):
         iv = build_interval(u, v)
-        for x, zs, record in scan_records(monkeypatch, iv):
+        for x, zs, (cluster, errors) in scan_records(monkeypatch, iv):
             for z in mask_bits(zs):
                 ideal = iv.down_mask[z]
                 try:
                     want = reference_cluster(iv, z, x)
                 except ClusterError as err:
-                    got = record.errors[z]
+                    got = errors[z]
                     assert (got.reason, str(got)) == (err.reason, str(err)), (u, v, z, x)
                     failed += 1
                     continue
-                assert z not in record.errors
-                inside = [(y, img) for y, img in record.cluster.images.items() if not y & ideal]
+                assert z not in errors
+                inside = [(y, img) for y, img in cluster.images.items() if not y & ideal]
                 assert inside == list(want.images.items()), (u, v, z, x)
                 check_cluster_axioms(iv, ideal, HypercubeCluster(x, want.frontier, dict(inside)))
                 served += 1
@@ -459,14 +470,19 @@ def test_scan_records_agree_with_reference_clusters_s5(monkeypatch):
 def test_a_scan_makes_one_record_per_element_s5(monkeypatch):
     # one record per base x serves every z above it, so a scan makes at most
     # one per element; in S_5 every element gets one, where building per z
-    # takes 167,566 clusters
-    records = 0
+    # takes 167,566 clusters.  The sweep's report makes no more: under the
+    # scan, the standard decomposition reads its clusters off it, and alone
+    # it makes one record per element of its ideal
+    records = reported = standard_only = 0
     for u, v in comparable_pairs(5):
         iv = build_interval(u, v)
         bases = [x for x, _, _ in scan_records(monkeypatch, iv)]
         assert bases == list(range(iv.size))
         records += len(bases)
-    assert records == 52_800
+        reported += len(recorded(monkeypatch, lambda: cli.analyze_interval(iv, True)))
+        standard_only += len(recorded(monkeypatch, lambda: cli.analyze_interval(iv, False)))
+    assert records == reported == 52_800
+    assert standard_only == 18_134
 
 
 def test_a_record_skips_antichains_in_no_single_frontier():
@@ -478,9 +494,9 @@ def test_a_record_skips_antichains_in_no_single_frontier():
     a, b = iv.index[(1, 3, 2)], iv.index[(2, 1, 3)]
     pair = 1 << a | 1 << b
     assert not (iv.up_mask[a] | iv.down_mask[a]) >> b & 1
-    record = hypercubes.cluster_record(iv, 0, pair)  # z = 132 and 213
-    assert record.cluster.frontier == pair and not record.errors
-    assert record.cluster.images == {0: 0, 1 << a: a, 1 << b: b}
+    cluster, errors = hypercubes.cluster_record(iv, 0, pair)  # z = 132 and 213
+    assert cluster.frontier == pair and not errors
+    assert cluster.images == {0: 0, 1 << a: a, 1 << b: b}
     assert build_cluster(iv, 0, 0).images[pair] == iv.index[(2, 3, 1)]
 
 
@@ -570,9 +586,38 @@ def test_standard_hcd_builds_no_second_interval(monkeypatch):
         assert htilde(iv, hcd) == rtilde_from_r(iv.bottom, iv.top)
 
 
+def standard_both_ways(u, v):
+    """standard_hcd on [u, v] alone, and on the shared records of a filled
+    z-scan: one callable each, on a fresh interval."""
+    alone, shared = build_interval(u, v), build_interval(u, v)
+    return [lambda: standard_hcd(alone), lambda: standard_hcd(shared, z_scan(shared))]
+
+
+def test_standard_hcd_reads_its_own_clusters_off_the_scan_s5():
+    # the shared records hold the standard z's clusters: its own part of
+    # each (the frontier outside the ideal, the antichains that miss it) is
+    # what standard_hcd builds alone, in the same order
+    checked = 0
+    for u, v in comparable_pairs(5):
+        if u == v:
+            continue
+        iv = build_interval(u, v)
+        alone = standard_hcd(iv)
+        shared = standard_hcd(iv, z_scan(iv))
+        assert (shared.z, shared.ideal) == (alone.z, alone.ideal)
+        assert list(shared.clusters) == list(alone.clusters)
+        for x, cluster in shared.clusters.items():
+            own = [(y, img) for y, img in cluster.images.items() if not y & alone.ideal]
+            assert own == list(alone.clusters[x].images.items()), (u, v, x)
+            assert cluster.frontier & ~alone.ideal == alone.clusters[x].frontier
+        checked += 1
+    assert checked == 3_661
+
+
 def test_standard_certificate_rejects_a_wrong_cycle_formula(monkeypatch):
     # the cycle formula is checked on the clusters diamond completion built,
-    # so a wrong formula makes standard_hcd raise wherever it matters
+    # alone or shared with a z-scan, so a wrong formula makes standard_hcd
+    # raise wherever it matters
     ivs = [build_interval(u, v) for u, v in comparable_pairs(4) if u != v]
     wide = [
         max(y.bit_count() for c in standard_hcd(iv).clusters.values() for y in c.images) >= 2
@@ -584,33 +629,36 @@ def test_standard_certificate_rejects_a_wrong_cycle_formula(monkeypatch):
     # still checks out and only the images of antichains of size >= 2 go wrong
     monkeypatch.setattr(hypercubes, "right_cycle", lambda w, c: right_cycle(w, c[::-1]))
     for iv, has_wide in zip(ivs, wide):
-        if has_wide:
-            with pytest.raises(InvariantViolation) as err:
-                standard_hcd(iv)
-            assert "frontier" not in str(err.value)
-        else:
-            standard_hcd(iv)
+        for call in standard_both_ways(iv.bottom, iv.top):
+            if has_wide:
+                with pytest.raises(InvariantViolation) as err:
+                    call()
+                assert "frontier" not in str(err.value)
+            else:
+                call()
 
     monkeypatch.setattr(hypercubes, "right_cycle", lambda w, c: w)
     for iv, has_wide in zip(ivs, wide):
-        if has_wide:
-            with pytest.raises(InvariantViolation, match="frontier element is not a cycle image"):
-                standard_hcd(iv)
+        for call in standard_both_ways(iv.bottom, iv.top):
+            if has_wide:
+                with pytest.raises(InvariantViolation, match="frontier element is not a cycle image"):
+                    call()
 
 
 def test_standard_certificate_rejects_a_wrong_antichain(monkeypatch):
     # after the real clusters are built, mark one incomparable frontier pair
-    # comparable: the pairwise test of standard_hcd must see that the
-    # positions still decrease there
+    # of the standard ideal comparable: the pairwise test of standard_hcd
+    # must see that the positions still decrease there
     real = hypercubes.check_strong_hcd
 
-    def tampered(iv, z):
-        verdict = real(iv, z)
+    def tampered(iv, z, scan=None):
+        verdict = real(iv, z, scan)
+        hcd = verdict.decomposition
         a, b = next(
             mask_bits(y)
-            for cluster in verdict.decomposition.clusters.values()
+            for cluster in hcd.clusters.values()
             for y in cluster.images
-            if y.bit_count() == 2
+            if y.bit_count() == 2 and not y & hcd.ideal
         )
         iv.up_mask = tuple(m | 1 << b if i == a else m for i, m in enumerate(iv.up_mask))
         return verdict
@@ -628,8 +676,9 @@ def test_standard_certificate_rejects_a_wrong_antichain(monkeypatch):
     assert wide
     monkeypatch.setattr(hypercubes, "check_strong_hcd", tampered)
     for u, v in wide:
-        with pytest.raises(InvariantViolation, match="antichains do not match"):
-            standard_hcd(build_interval(u, v))
+        for call in standard_both_ways(u, v):
+            with pytest.raises(InvariantViolation, match="antichains do not match"):
+                call()
 
 
 def test_standard_hcd_proper_on_all_s4():

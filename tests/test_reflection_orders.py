@@ -20,8 +20,6 @@ from bruhat_hypercubes.reflection_orders import (
     construct_order,
     lex_order,
     make_order,
-    order_from_json,
-    order_to_json,
     reverse_order,
     rtilde_by_paths,
     standard_E_order,
@@ -262,11 +260,6 @@ def test_diamond_flip_order_law_s4():
             assert s1 < s2 and s2 > r2 and r2 < r1 and r1 > s1
             if s1 < s2:
                 assert r1 > r2
-
-
-def test_order_json_roundtrip():
-    order = lex_order(4)
-    assert order_from_json(order_to_json(order)).ordered == order.ordered
 
 
 def test_paths_match_rtilde_all_valid_s4_orders():
