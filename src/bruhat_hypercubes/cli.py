@@ -55,7 +55,7 @@ from .polynomials import (
 
 def analyze_interval(iv: BruhatInterval, exhaustive_z: bool) -> dict:
     u, v = iv.bottom, iv.top
-    rt = rtilde_from_r(u, v, comparable=True)
+    rt = rtilde_from_r(u, v)
     report: dict = {
         "u": format_perm(u),
         "v": format_perm(v),
@@ -240,7 +240,7 @@ def cmd_iso(args) -> int:
 def cmd_hcd(args) -> int:
     u, v = _parse_pair(args.u, args.v)
     iv = build_interval(u, v)
-    rt = rtilde_from_r(u, v, comparable=True)  # build_interval raised otherwise
+    rt = rtilde_from_r(u, v)
     if args.z is None:
         hcd = standard_hcd(iv)
         h = htilde(iv, hcd)

@@ -377,7 +377,7 @@ def htilde(iv: BruhatInterval, hcd: HypercubeDecomposition) -> QPoly:
             if img == top and not y & ideal
         ]
         if hits:
-            rt = rtilde_from_r(iv.bottom, iv.elements[x], comparable=True)
+            rt = rtilde_from_r(iv.bottom, iv.elements[x])
             for k in hits:
                 acc = qp_add(acc, qp_shift(rt, k))
     return acc

@@ -25,7 +25,6 @@ from .errors import EmptyIntervalError, InvariantViolation
 from .perms import (
     Perm,
     Reflection,
-    Root,
     bruhat_leq,
     format_perm,
     identity,
@@ -35,7 +34,6 @@ from .perms import (
     reflection_between,
     reflections,
     right_transposition,
-    root_of,
 )
 
 
@@ -258,13 +256,6 @@ def atom_indices(iv: BruhatInterval) -> tuple[tuple[int, Reflection], ...]:
     return tuple((j, iv.label(0, j)) for j in bits(iv.out_mask[0]) if iv.rank[j] == 1)
 
 
-def atoms(iv: BruhatInterval) -> tuple[tuple[Perm, Reflection, Root], ...]:
-    """The atoms of [u, v] as (element, reflection, root) triples."""
-    return tuple(
-        (iv.elements[j], t, root_of(t, iv.n)) for j, t in atom_indices(iv)
-    )
-
-
 # ---------------------------------------------------------------------------
 # abstract posets and isomorphism
 
@@ -388,23 +379,3 @@ def poset_isomorphic(p: AbstractPoset, q: AbstractPoset) -> Optional[tuple[int, 
 def iso_signature(p: AbstractPoset):
     """A cheap isomorphism invariant, usable as a grouping key."""
     return (p.size, len(p.hasse), tuple(sorted(p.stable_colors[1])))
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def interval_to_json(iv: BruhatInterval) -> dict:
-    """Elements in one-line notation; edges as index pairs in (lower end,
-    label) order, labels as [i, j]."""
-    edges = sorted(
-        (i, iv.label(i, j), j) for i, targets in enumerate(iv.out_mask) for j in bits(targets)
-    )
-    rank = iv.rank
-    return {
-        "u": format_perm(iv.bottom),
-        "v": format_perm(iv.top),
-        "elements": [format_perm(x) for x in iv.elements],
-        "hasse_edges": [[i, j] for i, _, j in edges if rank[j] == rank[i] + 1],
-        "bruhat_edges": [[i, j, [t[0], t[1]]] for i, t, j in edges],
-    }

@@ -119,14 +119,6 @@ def reflections(n: int) -> tuple[Reflection, ...]:
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
 
-def reflection_perm(t: Reflection, n: int) -> Perm:
-    """The reflection t = (i, j) as an element of S_n."""
-    i, j = t
-    w = list(range(1, n + 1))
-    w[i - 1], w[j - 1] = j, i
-    return tuple(w)
-
-
 def apply_reflection(t: Reflection, w: Perm) -> Perm:
     """Left multiplication t*w: swap the values i and j in w."""
     i, j = t

@@ -131,7 +131,7 @@ def r_poly(u: Perm, v: Perm) -> QPoly:
     where l = l(u, v) is the degree of R-tilde and c_k = 0 unless k = l mod 2.
     R(u, u) = 1, and R(u, v) = 0 when u is not <= v.
     """
-    return _r_of(_rtilde_or_zero(u, v))
+    return _r_of(rtilde_from_r(u, v)) if bruhat_leq(u, v) else ZERO
 
 
 def _r_of(rt: QPoly) -> QPoly:
@@ -161,14 +161,13 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
     over the interval [u, v] gives P(x, v) for every x in it, top down: the
     unknown P(x, v) is read off the high coefficients of the partial sum over
     a in [x, v], a != x (the two sides cannot overlap in degree), then the
-    full identity is re-verified exactly.  Every entry is memoized.
+    full identity is re-verified exactly.  Every nonzero entry is memoized.
     """
     key = (u, v)
     hit = _P_MEMO.get(key)
     if hit is not None:
         return hit
     if not bruhat_leq(u, v):
-        _P_MEMO[key] = ZERO
         return ZERO
     iv = build_interval(u, v)
     _P_MEMO[(v, v)] = ONE
@@ -181,7 +180,7 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
             continue
         partial = ZERO
         for a in bits(iv.up_mask[i] ^ (1 << i)):
-            partial = qp_add(partial, qp_mul(_r_of(_rtilde(x, iv.elements[a])), table[a]))
+            partial = qp_add(partial, qp_mul(_r_of(rtilde_from_r(x, iv.elements[a])), table[a]))
         ell = iv.length - iv.rank[i]
         bound = (ell - 1) // 2
         res = qp_normalize(
@@ -195,51 +194,42 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
     return table[0]
 
 
-def rtilde_from_r(u: Perm, v: Perm, comparable: bool = False) -> QPoly:
+def rtilde_from_r(u: Perm, v: Perm) -> QPoly:
     """The R-tilde polynomial, by the one descent recurrence of this module
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, Sec. 5.3); raises
-    ValueError unless u <= v.  comparable=True says the caller knows that
-    u <= v, and skips the test: the pairs of a sweep and the x of [u, v] in
-    a sum over the interval are comparable by construction.
+    ValueError unless u <= v.
 
-    R-tilde(u, u) = 1; R-tilde(u, v) = 0 when u is not <= v; otherwise, for
-    the smallest right descent s of v: R-tilde(us, vs) when s is also a
-    descent of u, else R-tilde(us, vs) + q R-tilde(u, vs).  The recurrence
-    walks comparable pairs only: by the lifting property (ibid., Prop.
-    2.2.7) us <= vs in the first case and u <= vs in the second, where the
-    term R-tilde(us, vs) is zero unless us <= vs.  So u <= v is decided once,
-    on a memo miss, and the memo holds no zero polynomial.
+    R-tilde(u, u) = 1; otherwise, for the smallest right descent s of v:
+    R-tilde(us, vs) when s is also a descent of u, else R-tilde(us, vs) +
+    q R-tilde(u, vs), where the first term is zero unless us <= vs.  By the
+    lifting property (ibid., Prop. 2.2.7) u <= v iff us <= vs in the first
+    case and iff u <= vs in the second, so the recurrence walks comparable
+    pairs from a comparable pair and incomparable ones from an incomparable
+    pair, down to v = e, which has no descent.  There it raises, having
+    memoized nothing, so the memo holds no zero polynomial.  The recursion
+    goes through this module's global, so a wrapper on the name another
+    module imported sees top-level calls only.
     """
-    res = _rtilde(u, v) if comparable else _rtilde_or_zero(u, v)
-    if not res:
-        raise ValueError("R-tilde requires u <= v")
-    return res
-
-
-def _rtilde_or_zero(u: Perm, v: Perm) -> QPoly:
-    hit = _RT_MEMO.get((u, v))
-    if hit is not None:
-        return hit
-    return _rtilde(u, v) if bruhat_leq(u, v) else ZERO
-
-
-def _rtilde(u: Perm, v: Perm) -> QPoly:
-    """R-tilde(u, v) for u <= v."""
     key = (u, v)
     hit = _RT_MEMO.get(key)
     if hit is not None:
         return hit
+    if len(u) != len(v):
+        raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
     if u == v:
         res = ONE
     else:
-        i, j = min(descents(v))
+        ds = descents(v)
+        if not ds:
+            raise ValueError("R-tilde requires u <= v")
+        i, j = min(ds)
         vs = right_transposition(v, i, j)
         us = right_transposition(u, i, j)
         if u[i - 1] > u[j - 1]:
-            res = _rtilde(us, vs)
+            res = rtilde_from_r(us, vs)
         else:
-            res = qp_shift(_rtilde(u, vs), 1)
+            res = qp_shift(rtilde_from_r(u, vs), 1)
             if bruhat_leq(us, vs):
-                res = qp_add(_rtilde(us, vs), res)
+                res = qp_add(rtilde_from_r(us, vs), res)
     _RT_MEMO[key] = res
     return res

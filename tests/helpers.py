@@ -25,11 +25,7 @@ from bruhat_hypercubes.hypercubes import (
     enumerate_diamonds,
     htilde,
 )
-from bruhat_hypercubes.intervals import (
-    BruhatInterval,
-    build_interval,
-    interval_to_json,
-)
+from bruhat_hypercubes.intervals import BruhatInterval, build_interval
 from bruhat_hypercubes.perms import (
     Perm,
     Reflection,
@@ -39,7 +35,6 @@ from bruhat_hypercubes.perms import (
     descents,
     format_perm,
     length,
-    parse_perm,
     reflections,
     right_transposition,
 )
@@ -464,14 +459,6 @@ def qp_eval(a: QPoly, x: int) -> int:
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def interval_from_json(payload: dict) -> BruhatInterval:
-    """Rebuild an interval from its JSON form, validating the payload."""
-    iv = build_interval(parse_perm(payload["u"]), parse_perm(payload["v"]))
-    if interval_to_json(iv) != payload:
-        raise ValueError("interval payload does not match its rebuilt form")
-    return iv
 
 
 @lru_cache(maxsize=None)

@@ -151,8 +151,28 @@ def test_rtilde_examples():
         if length(v) - length(u) == 1:
             assert rtilde_from_r(u, v) == (0, 1)
     assert rtilde_from_r((1, 2, 3), (3, 2, 1)) == (0, 1, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="u <= v"):
         rtilde_from_r((2, 1, 3), (1, 2, 3))
+
+
+def test_r_family_rejects_mixed_degrees():
+    # ValueError, not an IndexError from the recurrence's positions
+    for a, b in itertools.product(all_perms(3), all_perms(4)):
+        for u, v in ((a, b), (b, a)):
+            for fn in (rtilde_from_r, r_poly, kl_poly):
+                with pytest.raises(ValueError):
+                    fn(u, v)
+
+
+def test_kl_memo_holds_no_zero_s4(monkeypatch):
+    # P(u, v) = 0 off the order is decided by bruhat_leq and not memoized
+    monkeypatch.setattr(polynomials, "_P_MEMO", {})
+    pairs = set(comparable_pairs(4))
+    for u, v in itertools.product(all_perms(4), repeat=2):
+        assert (kl_poly(u, v) != ()) == ((u, v) in pairs), (u, v)
+    memo = polynomials._P_MEMO
+    assert all(memo.values())
+    assert set(memo) <= pairs
 
 
 def test_rtilde_memo_holds_the_comparable_pairs_only_s5(monkeypatch):
