@@ -379,72 +379,116 @@ def _verify_pair(u: Perm, v: Perm, group: Optional[BruhatInterval], args) -> tup
 
 def _forked_results(n: int, start: int, step: int, jobs: int, task: Callable) -> Iterator:
     """task(u, v) over comparable_pairs(n, start, step), in that order,
-    computed by jobs forked workers.  Worker w takes every jobs-th of those
-    pairs from the w-th on, comparable_pairs skipping to it, and pickles
-    each result onto its own pipe; the results are read back round-robin.
-    An exception in a worker is raised here, at its place in the order.  On
-    every way out, the pipes are closed and every worker is killed and
-    reaped."""
+    computed by jobs forked workers.  A baton pipe holds the position of the
+    next pair: a worker claims a pair by reading it and writing the next
+    one back, skips its own stream of the pairs forward to it, and sends
+    "claimed i", then (i, result) or (i, exception), each a length-prefixed
+    pickle on its own pipe.  The parent reads whichever pipe has output,
+    holds the results that come early, and yields them in order.  An
+    exception in a worker is raised here, at its place in the order, and a
+    worker that ends without its end marker is an error at the place of the
+    pair it had claimed.  On every way out, the pipes are closed and every
+    worker is killed and reaped."""
+    import math
     import os
     import pickle
+    import select
     import signal
 
     sys.stdout.flush()
     sys.stderr.flush()
     parent = os.getpid()
+    baton = os.pipe()
+    os.write(baton[1], (0).to_bytes(8, "little"))
     pipes = [os.pipe() for _ in range(jobs)]
+    spare = [*baton, *itertools.chain.from_iterable(pipes)]  # the parent's to close
     pids: list[int] = []
-    readers: list = []
+    claims: dict[int, Optional[int]] = {}  # read end -> its worker's unanswered claim
     try:
         for w in range(jobs):
             pid = os.fork()
             if pid == 0:
                 try:
-                    # a worker keeps its own write end and nothing else, so
-                    # a parent killed mid-sweep leaves no one holding its
-                    # pipes or its stdout
-                    for fd in itertools.chain.from_iterable(pipes):
-                        if fd != pipes[w][1]:
+                    # a worker keeps its own write end and the baton and
+                    # nothing else, so a parent killed mid-sweep leaves no
+                    # one holding its pipes or its stdout
+                    for fd in spare:
+                        if fd not in (pipes[w][1], *baton):
                             os.close(fd)
                     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+                    pairs = comparable_pairs(n, start, step)
+                    taken = 0  # the pairs drawn from it
                     with os.fdopen(pipes[w][1], "wb") as out:
-                        for u, v in comparable_pairs(n, start + w * step, jobs * step):
-                            if os.getppid() != parent:
-                                break
-                            try:
-                                result = task(u, v)
-                            except Exception as exc:
-                                out.write(pickle.dumps(exc))
-                                break
-                            out.write(pickle.dumps(result))
+
+                        def send(message) -> None:
+                            data = pickle.dumps(message)
+                            out.write(len(data).to_bytes(8, "little") + data)
                             out.flush()
-                        else:
-                            out.write(pickle.dumps(None))  # no pair left
+
+                        while os.getppid() == parent:
+                            i = int.from_bytes(os.read(baton[0], 8), "little")
+                            os.write(baton[1], (i + 1).to_bytes(8, "little"))
+                            pair = next(itertools.islice(pairs, i - taken, None), None)
+                            taken = i + 1
+                            if pair is None:
+                                break
+                            send(i)
+                            try:
+                                send((i, task(*pair)))
+                            except Exception as exc:
+                                send((i, exc))
+                                break
+                        send(None)  # the end marker: no pair left, or an exception sent
                 finally:
                     # no traceback, no atexit handler and no buffered output
                     # a second time: a broken pipe or a lost parent ends a
                     # worker quietly
                     os._exit(0)
             pids.append(pid)
-        while pipes:
-            r, wr = pipes.pop(0)
-            os.close(wr)
-            readers.append(os.fdopen(r, "rb"))
+        claims = dict.fromkeys((r for r, _ in pipes), None)
+        for fd in spare:
+            if fd not in claims:
+                os.close(fd)
+        spare = []
+        unread = {r: bytearray() for r in claims}
+        held: dict = {}  # results that came before their turn, by position
+        lost = math.inf  # the position of a pair that a dead worker took with it
         for i in itertools.count():
-            try:
-                result = pickle.load(readers[i % jobs])
-            except EOFError:  # no end marker: the worker was killed
-                raise RuntimeError(f"verify worker {i % jobs} ended early") from None
-            if result is None:
+            while i not in held and i < lost and claims:
+                for r in select.select(list(claims), [], [])[0]:
+                    chunk = os.read(r, 1 << 16)
+                    ended = not chunk
+                    if ended:  # no end marker: the worker was killed
+                        lost = min(lost, i if claims[r] is None else claims[r])
+                    buf = unread[r]
+                    buf += chunk
+                    while len(buf) >= 8:
+                        size = 8 + int.from_bytes(buf[:8], "little")
+                        if len(buf) < size:
+                            break
+                        message = pickle.loads(buf[8:size])
+                        del buf[:size]
+                        if message is None:
+                            ended = True
+                        elif isinstance(message, int):
+                            claims[r] = message
+                        else:
+                            held[message[0]] = message[1]
+                            claims[r] = None
+                    if ended:
+                        os.close(r)
+                        del claims[r]
+            if i >= lost:
+                raise RuntimeError(f"verify worker ended early at pair {i}")
+            if i not in held:  # every worker has ended: no pair left
                 return
+            result = held.pop(i)
             if isinstance(result, BaseException):
                 raise result
             yield result
     finally:
-        for fd in itertools.chain.from_iterable(pipes):
+        for fd in (*spare, *claims):
             os.close(fd)
-        for reader in readers:
-            reader.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

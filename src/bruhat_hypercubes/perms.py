@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -73,6 +74,7 @@ def parse_perm(text: str) -> Perm:
     return entries
 
 
+@lru_cache(maxsize=None)  # a sweep names the same few elements over and over
 def format_perm(w: Perm) -> str:
     """Inverse of parse_perm: digits for n <= 9, bracketed list otherwise."""
     if len(w) <= 9:

@@ -525,6 +525,7 @@ def run_at_jobs(capsys, forks, argv, jobs="2"):
         (["verify", "4", "--exhaustive-z"], "2"),  # text mode
         (["verify", "5", "--json", "--shard", "3/7"], "2"),
         (["verify", "2", "--json"], "4"),  # fewer pairs than workers
+        (["verify", "5", "--exhaustive-z", "--json", "--shard", "2/5"], "4"),
     ],
 )
 def test_jobs_keep_the_serial_stream(capsys, forks, argv, jobs):
@@ -550,7 +551,7 @@ def test_verify_5_exhaustive_z_at_two_jobs_matches_the_pins(capsys, forks):
     assert reasons.hexdigest() == S5_REASONS_SHA256
 
 
-@pytest.mark.parametrize("k", [6, 7])  # pairs of worker 0 and of worker 1
+@pytest.mark.parametrize("k", [6, 7])  # neighbouring pairs, run by whichever worker claims each
 def test_a_failure_keeps_its_place_at_two_jobs(capsys, monkeypatch, forks, k):
     target = comparable_pairs(4)[k]
     real = cli.analyze_interval
@@ -585,11 +586,38 @@ def test_a_worker_that_dies_fails_the_sweep(capsys, monkeypatch, forks):
         return real(iv, exhaustive_z)
 
     monkeypatch.setattr(cli, "analyze_interval", dying)
-    with pytest.raises(RuntimeError, match="^verify worker 1 ended early$"):
+    with pytest.raises(RuntimeError, match="^verify worker ended early at pair 7$"):
         cli.main(["verify", "4", "--json", "--jobs", "2"])
     assert len(forks) == 2
     assert_reaped(forks)
     assert len(capsys.readouterr().out.splitlines()) == 7
+
+
+def test_a_slow_pair_does_not_hold_up_the_other_worker(capsys, monkeypatch, forks, tmp_path):
+    # in a worker, pair 0 waits until the last pair has been analysed: each
+    # worker claims its next pair as it frees up, so the other worker runs
+    # every pair meanwhile, and the stream keeps its order
+    pairs = comparable_pairs(4)
+    done = tmp_path / "last pair analysed"
+    here = os.getpid()
+    real = cli.analyze_interval
+
+    def waiting(iv, exhaustive_z):
+        in_worker = os.getpid() != here  # --jobs 1 runs in process, unhindered
+        if (iv.bottom, iv.top) == pairs[0] and in_worker:
+            deadline = time.monotonic() + 30
+            while not done.exists():
+                assert time.monotonic() < deadline, "pair 0 waited 30 s for the last pair"
+                time.sleep(0.01)
+        report = real(iv, exhaustive_z)
+        if (iv.bottom, iv.top) == pairs[-1] and in_worker:
+            done.touch()
+        return report
+
+    monkeypatch.setattr(cli, "analyze_interval", waiting)
+    serial, forked = run_at_jobs(capsys, forks, ["verify", "4", "--exhaustive-z", "--json"])
+    assert forked == serial
+    assert serial[0] == 0 and serial[1].count("\n") == len(pairs) + 1
 
 
 def test_counterexample_exit_code_at_two_jobs(capsys, monkeypatch, forks):
