@@ -40,7 +40,6 @@ outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ClusterError, InvariantViolation
@@ -96,14 +95,16 @@ def _closed_lower_set(iv: BruhatInterval, ideal: int) -> bool:
 # strong hypercube clusters
 
 
-@dataclass(frozen=True)
 class HypercubeCluster:
     """The cluster map at a base element: antichains of the frontier
     (Bruhat-edge targets outside the ideal) to interval elements."""
 
-    base: int
-    frontier: int
-    images: dict[int, int]
+    __slots__ = ("base", "frontier", "images")
+
+    def __init__(self, base: int, frontier: int, images: dict[int, int]):
+        self.base = base
+        self.frontier = frontier
+        self.images = images
 
 
 def cluster_record(
@@ -289,7 +290,6 @@ def _at(iv: BruhatInterval, x: int) -> str:
 # strong hypercube decompositions
 
 
-@dataclass(frozen=True)
 class HypercubeDecomposition:
     """A strong decomposition [u, z]: clusters[x] is the cluster at each x of
     the ideal.  In a z-scan's decomposition, the standard one read off a
@@ -297,17 +297,31 @@ class HypercubeDecomposition:
     cluster of [u, z] is its frontier outside the ideal and the antichains
     that miss the ideal."""
 
-    z: int
-    ideal: int
-    clusters: dict[int, HypercubeCluster]
+    __slots__ = ("z", "ideal", "clusters")
+
+    def __init__(self, z: int, ideal: int, clusters: dict[int, HypercubeCluster]):
+        self.z = z
+        self.ideal = ideal
+        self.clusters = clusters
 
 
-@dataclass(frozen=True)
 class HcdCheck:
-    ok: bool
-    failed_axiom: Optional[str] = None
-    reason: Optional[str] = None
-    decomposition: Optional[HypercubeDecomposition] = None
+    """The verdict on an ideal [u, z]: on success its decomposition, else
+    the failed axiom ("HD2" or "HD3") and the reason."""
+
+    __slots__ = ("ok", "failed_axiom", "reason", "decomposition")
+
+    def __init__(
+        self,
+        ok: bool,
+        failed_axiom: Optional[str] = None,
+        reason: Optional[str] = None,
+        decomposition: Optional[HypercubeDecomposition] = None,
+    ):
+        self.ok = ok
+        self.failed_axiom = failed_axiom
+        self.reason = reason
+        self.decomposition = decomposition
 
 
 def check_strong_hcd(

@@ -17,7 +17,6 @@ endpoints when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
@@ -37,7 +36,6 @@ from .perms import (
 )
 
 
-@dataclass(eq=False)
 class BruhatInterval:
     """The interval [u, v] with its Bruhat graph and order.
 
@@ -46,16 +44,28 @@ class BruhatInterval:
     one edge store: label(i, j) reads an edge's reflection off its endpoints,
     and an edge is a cover when the rank rises by one.  up_mask[i] /
     down_mask[i] are bitmasks of {j : x_i <= x_j} and {j : x_j <= x_i}.
+    Compared by identity.
     """
 
-    bottom: Perm
-    top: Perm
-    elements: tuple[Perm, ...]
-    index: dict[Perm, int]
-    rank: tuple[int, ...]
-    out_mask: tuple[int, ...]
-    up_mask: tuple[int, ...]
-    down_mask: tuple[int, ...]
+    def __init__(
+        self,
+        bottom: Perm,
+        top: Perm,
+        elements: tuple[Perm, ...],
+        index: dict[Perm, int],
+        rank: tuple[int, ...],
+        out_mask: tuple[int, ...],
+        up_mask: tuple[int, ...],
+        down_mask: tuple[int, ...],
+    ):
+        self.bottom = bottom
+        self.top = top
+        self.elements = elements
+        self.index = index
+        self.rank = rank
+        self.out_mask = out_mask
+        self.up_mask = up_mask
+        self.down_mask = down_mask
 
     @property
     def n(self) -> int:
@@ -260,16 +270,16 @@ def atom_indices(iv: BruhatInterval) -> tuple[tuple[int, Reflection], ...]:
 # abstract posets and isomorphism
 
 
-@dataclass(frozen=True)
 class AbstractPoset:
     """A graded poset given by its Hasse relation on {0, ..., size-1}.
 
     Its cover lists and its stable colouring are derived on first use and
     kept, so every search and signature over one poset shares them."""
 
-    size: int
-    hasse: tuple[tuple[int, int], ...]
-    rank: tuple[int, ...]
+    def __init__(self, size: int, hasse: tuple[tuple[int, int], ...], rank: tuple[int, ...]):
+        self.size = size
+        self.hasse = hasse
+        self.rank = rank
 
     @cached_property
     def covers(self) -> tuple[list[list[int]], list[list[int]]]:

@@ -134,8 +134,10 @@ def r_poly(u: Perm, v: Perm) -> QPoly:
     return _r_of(rtilde_from_r(u, v)) if bruhat_leq(u, v) else ZERO
 
 
+@cache
 def _r_of(rt: QPoly) -> QPoly:
-    """R read off R-tilde, as r_poly describes."""
+    """R read off R-tilde, as r_poly describes; each distinct R-tilde is
+    read once."""
     ell = len(rt) - 1
     out = [0] * (ell + 1)
     for k, c in enumerate(rt):
@@ -161,7 +163,9 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
     over the interval [u, v] gives P(x, v) for every x in it, top down: the
     unknown P(x, v) is read off the high coefficients of the partial sum over
     a in [x, v], a != x (the two sides cannot overlap in degree), then the
-    full identity is re-verified exactly.  Every nonzero entry is memoized.
+    full identity is re-verified exactly.  The partial sum adds up P(a, v)
+    per distinct R-tilde(x, a) first, and multiplies each total once by its
+    R.  Every nonzero entry is memoized.
     """
     key = (u, v)
     hit = _P_MEMO.get(key)
@@ -178,9 +182,13 @@ def kl_poly(u: Perm, v: Perm) -> QPoly:
         if hit is not None:
             table[i] = hit
             continue
-        partial = ZERO
+        by_rt: dict[QPoly, QPoly] = {}
         for a in bits(iv.up_mask[i] ^ (1 << i)):
-            partial = qp_add(partial, qp_mul(_r_of(rtilde_from_r(x, iv.elements[a])), table[a]))
+            rt = rtilde_from_r(x, iv.elements[a])
+            by_rt[rt] = qp_add(by_rt.get(rt, ZERO), table[a])
+        partial = ZERO
+        for rt, total in by_rt.items():
+            partial = qp_add(partial, qp_mul(_r_of(rt), total))
         ell = iv.length - iv.rank[i]
         bound = (ell - 1) // 2
         res = qp_normalize(

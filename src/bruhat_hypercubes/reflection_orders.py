@@ -12,7 +12,6 @@ its functionals with exact rationals so results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,13 +21,14 @@ from .perms import Reflection, reflections, root_forest
 from .polynomials import ONE, QPoly, ZERO, qp_add, qp_shift
 
 
-@dataclass(frozen=True)
 class ReflectionOrder:
-    """A validated total order on the reflections of S_n, smallest first."""
+    """A validated total order on the reflections of S_n, smallest first,
+    with the position of each reflection in it."""
 
-    n: int
-    ordered: tuple[Reflection, ...]
-    position: dict[Reflection, int]
+    def __init__(self, n: int, ordered: tuple[Reflection, ...], position: dict[Reflection, int]):
+        self.n = n
+        self.ordered = ordered
+        self.position = position
 
 
 def _degree_from_count(count: int) -> int:
@@ -244,11 +244,13 @@ def rtilde_by_paths(iv: BruhatInterval, order: ReflectionOrder) -> QPoly:
 # E-properties of an order relative to an ideal
 
 
-@dataclass(frozen=True)
 class EFlags:
-    e1: bool
-    e2: bool
-    e: bool
+    """The E1, E2 and E verdicts of check_E_properties."""
+
+    def __init__(self, e1: bool, e2: bool, e: bool):
+        self.e1 = e1
+        self.e2 = e2
+        self.e = e
 
 
 def check_E_properties(iv: BruhatInterval, mask: int, order: ReflectionOrder) -> EFlags:

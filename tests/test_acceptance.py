@@ -324,10 +324,27 @@ STRICT_S6 = {
 }
 
 
+# runs python ARGS... and then prints its wait4 peak RSS as one JSON line.
+# Linux carries the high-water mark of the image that spawns a process into
+# the child's ru_maxrss, so a shard spawned from pytest would report pytest's;
+# spawned from this small process, it reports its own.
+SHARD_LAUNCHER = """
+import json, os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps({"peak_rss_kib": usage.ru_maxrss}), flush=True)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def _tally_s6_stream(stream, tally: dict) -> None:
-    """Count one verify --exhaustive-z --json stream as it arrives."""
+    """Count one verify --exhaustive-z --json stream as it arrives, and the
+    launcher's peak RSS line after it."""
     for line in stream:
         obj = json.loads(line)
+        if "peak_rss_kib" in obj:
+            tally["peak_rss_kib"] = obj["peak_rss_kib"]
+            continue
         if "summary" in obj:
             tally["summary"] = obj["summary"]
             continue
@@ -350,14 +367,15 @@ def _tally_s6_stream(stream, tally: dict) -> None:
 )
 def test_full_s6_verification_opt_in():
     # every z of every interval of S_6 (verify 6 --exhaustive-z), through the
-    # CLI as two shards side by side; the streams are read as they arrive,
-    # never held.  The counts were first taken at fc7d326, where every
-    # interval was scanned from v and every cluster built afresh.
+    # CLI as two shards side by side, each spawned by SHARD_LAUNCHER; the
+    # streams are read as they arrive, never held.  The counts were first
+    # taken at fc7d326, where every interval was scanned from v and every
+    # cluster built afresh.
     start = time.monotonic()
     procs = [
         subprocess.Popen(
-            [sys.executable, "-m", "bruhat_hypercubes", "verify", "6", "--exhaustive-z"]
-            + ["--json", "--shard", f"{k}/2"],
+            [sys.executable, "-c", SHARD_LAUNCHER, "-m", "bruhat_hypercubes", "verify", "6"]
+            + ["--exhaustive-z", "--json", "--shard", f"{k}/2"],
             stdout=subprocess.PIPE,
             text=True,
             env=subprocess_env(),
@@ -365,21 +383,21 @@ def test_full_s6_verification_opt_in():
         for k in (1, 2)
     ]
     keys = ("reports", "counterexamples", "strong", "simple", "simple_strong", "simple_equal")
-    tallies = [{**dict.fromkeys(keys, 0), "strict": [], "summary": None} for _ in procs]
+    tallies = [
+        {**dict.fromkeys(keys, 0), "strict": [], "summary": None, "peak_rss_kib": None}
+        for _ in procs
+    ]
     readers = [
         threading.Thread(target=_tally_s6_stream, args=(proc.stdout, tally))
         for proc, tally in zip(procs, tallies)
     ]
     for reader in readers:
         reader.start()
-    peak_mb = []
     for proc, reader in zip(procs, readers):
         reader.join()
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        peak_mb.append(usage.ru_maxrss / 1024)  # KiB on Linux
+        assert proc.wait() == 0
     wall = time.monotonic() - start
+    peak_mb = [tally["peak_rss_kib"] / 1024 for tally in tallies]  # KiB on Linux
 
     def total(key):
         return sum(tally[key] for tally in tallies)

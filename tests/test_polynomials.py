@@ -127,9 +127,16 @@ def test_kl_poly_frozen_values():
     }
 
 
-def test_kl_poly_against_linear_oracle_sampled():
+def test_kl_poly_against_linear_oracle_s4(monkeypatch):
+    # every pair of S_4, from cold memos: the P memo is emptied before each
+    # pair, so each kl_poly call fills its own table over [u, v], summing
+    # P(a, v) per distinct R-tilde(x, a)
+    monkeypatch.setattr(polynomials, "_P_MEMO", {})
+    monkeypatch.setattr(polynomials, "_RT_MEMO", {})
+    polynomials._r_of.cache_clear()
     cache: dict = {}
-    for u, v in comparable_pairs(4)[::11]:
+    for u, v in comparable_pairs(4):
+        polynomials._P_MEMO.clear()
         assert kl_poly(u, v) == oracle_kl(u, v, cache), (u, v)
 
 

@@ -37,26 +37,58 @@ def test_package_root_imports_nothing():
     ]
 
 
-def test_a_query_loads_only_what_it_uses():
-    # python -m bruhat_hypercubes kl ..., then the modules it left loaded
-    script = """
+def _loaded_after(script: str, *args: str) -> tuple[str, set[str]]:
+    """Run script in a fresh interpreter; its stdout but the last line, and
+    the modules the last line names."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    *out, loaded = proc.stdout.splitlines()
+    return "\n".join(out), set(loaded.split())
+
+
+# python -m bruhat_hypercubes ARGS..., then the modules it left loaded
+QUERY = """
 import runpy, sys
-sys.argv = ["bruhat_hypercubes", "kl", "1324", "4231", "--json"]
+sys.argv = ["bruhat_hypercubes", *sys.argv[1:]]
 try:
     runpy.run_module("bruhat_hypercubes", run_name="__main__", alter_sys=True)
 except SystemExit as stop:
     assert stop.code == 0, stop.code
 print(" ".join(sorted(sys.modules)))
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
-    )
-    assert proc.returncode == 0, proc.stderr
-    report, loaded = proc.stdout.splitlines()
-    assert json.loads(report)["P"] == [1]
-    loaded = set(loaded.split())
-    assert "bruhat_hypercubes.cli" in loaded
-    assert not loaded & {"bruhat_hypercubes.reflection_orders", "fractions"}
+
+
+def test_a_query_loads_only_what_it_uses():
+    # records are plain classes: dataclasses, and the inspect it imports,
+    # would double the import time of every query
+    for argv, field, want in (
+        (("kl", "1324", "4231"), "P", [1]),
+        (("hcd", "1324", "4231"), "verdict", "equal"),
+    ):
+        report, loaded = _loaded_after(QUERY, *argv, "--json")
+        assert json.loads(report)[field] == want
+        assert "bruhat_hypercubes.cli" in loaded
+        assert not loaded & {
+            "bruhat_hypercubes.reflection_orders",
+            "fractions",
+            "dataclasses",
+            "inspect",
+        }, argv
+
+
+def test_no_library_module_imports_dataclasses():
+    # every module but the package root and __main__, which runs the CLI
+    modules = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__"))
+    assert "reflection_orders" in modules
+    script = "".join(f"import bruhat_hypercubes.{m}\n" for m in modules)
+    _, loaded = _loaded_after(script + "import sys\nprint(' '.join(sorted(sys.modules)))")
+    assert {f"bruhat_hypercubes.{m}" for m in modules} <= loaded
+    assert "dataclasses" not in loaded
 
 
 def test_perms_doctests_pass():
